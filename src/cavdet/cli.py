@@ -2,13 +2,15 @@
 
 Every output is machine-readable (CSV with # metadata lines, or JSON) and
 byte-identical across runs and thread counts for a fixed config and seed.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 model/domain error or
+numerical failure.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import config_digest, load_config
-from .errors import CavdetError, ConfigError
+from .errors import CavdetError, ConfigError, NotDispersive, NotResonant
 from .fiber_cavity import FiberCavityDesign, derive, v_number
 from .homodyne_detection import dispersive_saturation_pump, homodyne_report
 from .motion import spatial_averages
@@ -51,12 +53,15 @@ class ScanSpec:
         return np.linspace(self.lo, self.hi, self.points)
 
 
+_FLOAT = "%.12g"  # every float in a CSV
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return "%.12g" % value
+    return _FLOAT % value
 
 
 def _write_csv(path, meta: list[tuple[str, str]], header: list[str], rows) -> None:
@@ -229,33 +234,43 @@ def _cmd_simulate(args) -> int:
         ("seed", str(sim.seed)),
     ]
     step = max(1, args.decimate)
-    traj_lines = [f"# {k}: {v}" for k, v in meta]
-    traj_lines.append("trajectory,t [us],x [um],y [um],z [um],N [photons]")
-    click_lines = [f"# {k}: {v}" for k, v in meta]
-    click_lines.append("trajectory,t [us]")
+    header = "".join(f"# {k}: {v}\n" for k, v in meta)
+    traj_row = "%d," + ",".join([_FLOAT] * 5) + "\n"
+    click_row = "%d," + _FLOAT + "\n"
+    # stream into partial files, renamed only once the ensemble succeeds, so a
+    # failed run leaves the previous run's three files as they were
+    names = ("trajectories.csv", "clicks.csv")
+    partial = [out_dir / (name + ".partial") for name in names]
+    try:
+        with open(partial[0], "w", newline="\n") as traj_file, open(
+            partial[1], "w", newline="\n"
+        ) as click_file:
+            traj_file.write(header + "trajectory,t [us],x [um],y [um],z [um],N [photons]\n")
+            click_file.write(header + "trajectory,t [us]\n")
 
-    def sink(index, rec):
-        for i in range(0, rec.times.size, step):
-            traj_lines.append(
-                f"{index},"
-                + ",".join(
-                    _fmt(v)
-                    for v in (
-                        rec.times[i] / US,
-                        rec.position[i, 0] / UM,
-                        rec.position[i, 1] / UM,
-                        rec.position[i, 2] / UM,
-                        rec.n_photons[i],
-                    )
-                )
+            def sink(index, rec):
+                t_us = (rec.times[::step] / US).tolist()
+                xyz_um = (rec.position[::step] / UM).T.tolist()
+                rows = zip(t_us, *xyz_um, rec.n_photons[::step].tolist())
+                traj_file.write("".join(traj_row % (index, *values) for values in rows))
+                clicks_us = (rec.click_times / US).tolist()
+                click_file.write("".join(click_row % (index, t) for t in clicks_us))
+
+            report = run_ensemble(
+                cfg.atom,
+                cfg.cavity,
+                cfg.drive,
+                cfg.guide,
+                sim,
+                workers=args.threads,
+                record_sink=sink,
             )
-        click_lines.extend(f"{index},{_fmt(t / US)}" for t in rec.click_times)
-
-    report = run_ensemble(
-        cfg.atom, cfg.cavity, cfg.drive, cfg.guide, sim, workers=args.threads, record_sink=sink
-    )
-    (out_dir / "trajectories.csv").write_text("\n".join(traj_lines) + "\n", newline="\n")
-    (out_dir / "clicks.csv").write_text("\n".join(click_lines) + "\n", newline="\n")
+    except BaseException:
+        for path in partial:
+            path.unlink(missing_ok=True)
+        raise
+    for path, name in zip(partial, names):
+        os.replace(path, out_dir / name)
     _write_json(
         out_dir / "report.json",
         {
@@ -424,6 +439,9 @@ def run(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (NotResonant, NotDispersive) as exc:
+        print(f"model/domain error: {exc}", file=sys.stderr)
+        return 3
     except CavdetError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -86,6 +86,13 @@ def _merge(raw: dict) -> dict:
     return merged
 
 
+def _sim_int(sm: dict, key: str) -> int:
+    try:
+        return int(sm[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"sim.{key} must be an integer, got {sm[key]!r}") from exc
+
+
 def parse_config(raw: dict) -> RunConfig:
     """Build parameter objects from a raw config dict (defaults filled in)."""
     r = _merge(raw)
@@ -116,13 +123,13 @@ def parse_config(raw: dict) -> RunConfig:
         dt=sm["dt_us"] * US,
         window=sm["window_us"] * US,
         stride=sm["stride_us"] * US,
-        threshold=int(sm["threshold"]),
+        threshold=_sim_int(sm, "threshold"),
         min_dip=sm["min_dip_us"] * US,
         duration=sm["duration_us"] * US,
-        seed=int(sm["seed"]),
-        n_atoms=int(sm["n_atoms"]),
+        seed=_sim_int(sm, "seed"),
+        n_atoms=_sim_int(sm, "n_atoms"),
         include_recoil=bool(sm["include_recoil"]),
-        dark_windows=int(sm["dark_windows"]),
+        dark_windows=_sim_int(sm, "dark_windows"),
     )
     return RunConfig(
         atom=atom,

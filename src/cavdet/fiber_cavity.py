@@ -19,10 +19,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.constants import c as C_LIGHT
-
 from .errors import ConfigError, ParaxialWarning
-from .params import AtomParams, CavityParams
+from .params import C_LIGHT, AtomParams, CavityParams
 
 
 @dataclass(frozen=True)

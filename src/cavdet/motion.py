@@ -20,10 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.constants import hbar as HBAR
-
 from .errors import SaturationWarning
-from .params import AtomParams, CavityParams, DriveParams, cooperativity
+from .params import HBAR, AtomParams, CavityParams, DriveParams, cooperativity
 from .resonant_detection import check_resonant
 from .steady_state import solve_stationary
 

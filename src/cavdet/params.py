@@ -11,8 +11,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.constants import c as C_LIGHT
-
 from .errors import ConfigError, ParaxialWarning
 
 # unit multipliers: value_in_unit * MULTIPLIER -> internal units
@@ -22,10 +20,26 @@ US = 1e-6  # s
 UM = 1e-6  # m
 NM = 1e-9  # m
 
+# exact SI defining constants (2019 SI); HBAR is h/(2*pi) rounded once
+C_LIGHT = 299792458.0  # m/s
+HBAR = 1.0545718176461565e-34  # J s
+K_B = 1.380649e-23  # J/K
+
 # 87Rb D2 defaults, used when a config omits atom constants
 RB_WAVELENGTH = 780.0 * NM
 RB_GAMMA = 3.0 * MHZ
 RB_MASS = 1.443e-25  # kg
+
+
+def require_finite(params, section: str) -> None:
+    """Raise ConfigError if any float field of a parameter dataclass is NaN or inf.
+
+    Comparisons against NaN are all false, so the range checks that follow
+    would let it through and it would surface much later as a solver failure.
+    """
+    for name, value in vars(params).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{section}.{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +52,7 @@ class AtomParams:
     mass: float = RB_MASS
 
     def __post_init__(self):
+        require_finite(self, "atom")
         if self.gamma <= 0:
             raise ConfigError("atom.gamma must be positive")
         if self.wavelength <= 0:
@@ -71,6 +86,7 @@ class CavityParams:
     asymmetric_input: bool = False
 
     def __post_init__(self):
+        require_finite(self, "cavity")
         if self.g_max < 0:
             raise ConfigError("cavity.g_max must be non-negative")
         if self.kappa_t <= 0:
@@ -100,6 +116,7 @@ class DriveParams:
     tau: float
 
     def __post_init__(self):
+        require_finite(self, "drive")
         if self.j_in < 0:
             raise ConfigError("drive.j_in must be non-negative")
         if self.tau <= 0:

@@ -19,17 +19,13 @@ the convention.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 import warnings
 
 import numpy as np
 
-from scipy.constants import hbar as HBAR, k as K_B
-from scipy.stats import chi2
-
 from .errors import ConfigError, QuasiStaticViolated, StepTooLarge
-from .params import KHZ, AtomParams, CavityParams, DriveParams, US
+from .params import HBAR, K_B, KHZ, AtomParams, CavityParams, DriveParams, US, require_finite
 from .steady_state import _roots_scaled, empty_cavity_state, stationary_scan
 
 PRESENCE_WAISTS = 3.0  # |y| within this many waists counts as "atom present"
@@ -45,6 +41,7 @@ class GuideParams:
     temperature: float = 30e-6
 
     def __post_init__(self):
+        require_finite(self, "guide")
         if self.trap_omega <= 0:
             raise ConfigError("guide.trap_omega must be positive")
         if self.mean_velocity < 0:
@@ -69,6 +66,7 @@ class SimConfig:
     dark_windows: int = 20000
 
     def __post_init__(self):
+        require_finite(self, "sim")
         if self.dt <= 0 or self.window <= 0 or self.stride <= 0:
             raise ConfigError("sim.dt, sim.window, sim.stride must be positive")
         if self.dt > self.window / 20.0:
@@ -364,6 +362,94 @@ def _first_detection(record: TrajectoryRecord, cavity: CavityParams, sim: SimCon
     return float(good[0]) if good.size else None
 
 
+def _poisson_split(shape: int, x: float) -> tuple[float, float, float]:
+    """P(K < shape), P(K >= shape) and P(K = shape - 1) for K ~ Poisson(x).
+
+    The terms are summed outward from the mode relative to the modal term
+    and normalized at the end, so both tails keep full relative precision
+    and no factorial or log-gamma is ever formed.  Terms below 1e-20 of
+    the modal one are dropped.
+    """
+    mode = int(x)
+    below = above = at = 0.0
+    term, k = 1.0, mode
+    while term > 1e-20:
+        if k < shape:
+            below += term
+        else:
+            above += term
+        if k == shape - 1:
+            at = term
+        k += 1
+        term *= x / k
+    term, k = 1.0, mode
+    while term > 1e-20 and k > 0:
+        term *= k / x
+        k -= 1
+        if k < shape:
+            below += term
+        else:
+            above += term
+        if k == shape - 1:
+            at = term
+    total = below + above
+    return below / total, above / total, at / total
+
+
+def gamma_quantile(shape: int, q: float, upper: bool = False) -> float:
+    """Quantile of the unit-scale gamma distribution with integer shape >= 1.
+
+    Returns x with P(shape, x) = q, or with Q(shape, x) = 1 - P(shape, x) = q
+    when upper is set, where P is the regularized lower incomplete gamma
+    function.  For integer shape, Q(shape, x) is the Poisson(x) probability
+    of fewer than shape events, which _poisson_split evaluates.
+
+    Newton's method starts at x = shape.  P is concave beyond its
+    inflection point shape - 1, so steps from there toward a root on the
+    right move monotonically onto it; a bracket kept from the signs of the
+    residual falls back to bisection if a step leaves it.
+    """
+    if shape < 1:
+        raise ValueError("gamma_quantile needs an integer shape >= 1")
+    if not 0.0 < q < 1.0:
+        raise ValueError("gamma_quantile needs 0 < q < 1")
+    if shape == 1:
+        return -math.log(q) if upper else -math.log1p(-q)
+    lo, hi = 0.0, math.inf
+    x = float(shape)
+    for _ in range(200):
+        below, above, density = _poisson_split(shape, x)
+        resid = q - below if upper else above - q  # increasing in x
+        if resid > 0.0:
+            hi = x
+        elif resid < 0.0:
+            lo = x
+        else:
+            return x
+        step = x - resid / density if density > 0.0 else math.nan
+        if abs(step - x) <= 1e-14 * x:
+            return step
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        x = step
+    return x
+
+
+_TAIL = 0.025  # each tail of the 95% interval
+
+
+def garwood_interval(n_events: int, exposure: float) -> tuple[float, float]:
+    """Exact (Garwood) 95% confidence interval for a Poisson rate.
+
+    With n_events observed over exposure, the bounds are
+    Q(n, 0.025)/exposure and Q(n + 1, 0.975)/exposure, where Q is the unit
+    gamma quantile; the lower bound is 0 for n = 0.
+    """
+    lo = gamma_quantile(n_events, _TAIL) / exposure if n_events else 0.0
+    hi = gamma_quantile(n_events + 1, _TAIL, upper=True) / exposure
+    return lo, hi
+
+
 def dark_rates(
     cavity: CavityParams, drive: DriveParams, sim: SimConfig
 ) -> tuple[float, tuple[float, float], tuple[float, float]]:
@@ -382,13 +468,11 @@ def dark_rates(
     span = window_times.size * sim.stride
     n_events = detect_events(window_times, counts, sim.threshold, sim.min_dip).size
     rate = n_events / span
-    lo = chi2.ppf(0.025, 2 * n_events) / (2.0 * span) if n_events else 0.0
-    hi = chi2.ppf(0.975, 2 * n_events + 2) / (2.0 * span)
     sweep = [
         detect_events(window_times, counts, sim.threshold, k * sim.stride).size / span
         for k in _DIP_SWEEP
     ]
-    return rate, (float(lo), float(hi)), (min(sweep), max(sweep))
+    return rate, garwood_interval(n_events, span), (min(sweep), max(sweep))
 
 
 def run_ensemble(
@@ -422,6 +506,9 @@ def run_ensemble(
         for i, arg in enumerate(args):
             consume(i, _simulate_indexed(arg))
     else:
+        # imported here: the process pool machinery costs every cold start
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, sim.n_atoms // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for i, record in enumerate(pool.map(_simulate_indexed, args, chunksize=chunk)):

@@ -1,12 +1,25 @@
 """Config parsing, digests, and the command-line entry points."""
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from cavdet import ConfigError, KHZ, MHZ, UM, US, config_digest, load_config, parse_config
-from cavdet.cli import ScanSpec, run
+from cavdet import (
+    ConfigError,
+    KHZ,
+    MHZ,
+    UM,
+    US,
+    config_digest,
+    load_config,
+    parse_config,
+    run_ensemble,
+)
+from cavdet import cli
+from cavdet.cli import ScanSpec, _fmt, run
 from cavdet.config import DEFAULTS
+from cavdet.errors import StepTooLarge
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MAIN = str(CONFIG_DIR / "main_cavity.json")
@@ -145,10 +158,29 @@ def test_cli_scan_pump(tmp_path):
     assert all(len(row.split(",")) == 6 for row in data[1:])
 
 
-def test_cli_scan_pump_rejects_detuned_config(tmp_path):
+def test_cli_scan_pump_rejects_detuned_config(tmp_path, capsys):
     # the dispersive config cannot be scanned with the resonant estimator
     out = tmp_path / "scan.csv"
     assert run(["scan-pump", "--config", NARROW, "--out", str(out), "--points", "10"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("model/domain error: ")
+    assert "numerical failure" not in err
+
+
+def test_cli_non_finite_config_value_is_exit_2(tmp_path, capsys):
+    # Python's json reads and writes the bare NaN literal
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps({"drive": {"j_in_per_us": float("nan")}}))
+    assert "NaN" in cfg.read_text()
+    assert run(["steady", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 2
+    assert "drive.j_in must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["threshold", "seed", "n_atoms", "dark_windows"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), None])
+def test_non_integer_sim_count_is_config_error(key, value):
+    with pytest.raises(ConfigError, match=f"sim.{key} must be an integer"):
+        parse_config({"sim": {key: value}})
 
 
 def test_cli_scan_pump_half_bounds_is_exit_2(tmp_path):
@@ -210,6 +242,48 @@ def test_cli_simulate_thread_invariance(tmp_path):
     assert 0.0 <= report["efficiency"] <= 1.0
     assert report["dark_rate_ci_per_s"][0] <= report["dark_rate_per_s"]
     assert report["config"]["sim"]["n_atoms"] == 6
+
+
+def test_cli_simulate_streamed_rows_match_per_value_format(tmp_path):
+    # reference: one _fmt call per value, as the rows were built before streaming
+    out = tmp_path / "sim"
+    argv = ["simulate", "--config", TRANSIT, "--out", str(out), "--atoms", "3", "--seed", "2"]
+    assert run(argv + ["--decimate", "7"]) == 0
+    cfg = load_config(TRANSIT)
+    traj, clicks = [], []
+
+    def sink(index, rec):
+        for i in range(0, rec.times.size, 7):
+            x, y, z = rec.position[i] / UM
+            values = (rec.times[i] / US, x, y, z, rec.n_photons[i])
+            traj.append(f"{index}," + ",".join(_fmt(v) for v in values))
+        clicks.extend(f"{index},{_fmt(t / US)}" for t in rec.click_times)
+
+    sim = replace(cfg.sim, n_atoms=3, seed=2)
+    run_ensemble(cfg.atom, cfg.cavity, cfg.drive, cfg.guide, sim, record_sink=sink)
+    for name, rows in (("trajectories.csv", traj), ("clicks.csv", clicks)):
+        lines = (out / name).read_bytes().decode().split("\n")
+        assert lines[-1] == ""
+        assert [l for l in lines[:-1] if not l.startswith("# ")][1:] == rows
+
+
+def test_cli_simulate_failure_leaves_earlier_output(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "sim"
+    argv = ["simulate", "--config", TRANSIT, "--out", str(out), "--atoms", "2"]
+    assert run(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def fail_after_first_record(*args, record_sink, **kwargs):
+        def sink(index, record):
+            record_sink(index, record)
+            raise StepTooLarge("forced after the first trajectory")
+
+        return run_ensemble(*args, record_sink=sink, **kwargs)
+
+    monkeypatch.setattr(cli, "run_ensemble", fail_after_first_record)
+    assert run(argv + ["--seed", "5"]) == 3
+    assert "forced after the first trajectory" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_cli_design_cavity(tmp_path):

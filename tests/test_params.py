@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -9,6 +10,8 @@ from cavdet import (
     CavityParams,
     ConfigError,
     DriveParams,
+    GuideParams,
+    SimConfig,
     ParaxialWarning,
     atomic_cross_section,
     cooperativity,
@@ -22,6 +25,31 @@ from cavdet import (
 def test_unit_constants():
     assert MHZ == 2 * math.pi * 1e6
     assert KHZ == 2 * math.pi * 1e3
+
+
+# the required arguments of each parameter type; every other field has a default
+_PARAM_BASES = {
+    AtomParams: {},
+    CavityParams: {"g_max": 12 * MHZ, "kappa_t": 3 * MHZ},
+    DriveParams: {"j_in": 2e6, "tau": 10e-6},
+    GuideParams: {},
+    SimConfig: {},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls, name",
+    [
+        pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+        for cls in _PARAM_BASES
+        for f in dataclasses.fields(cls)
+        if isinstance(getattr(cls(**_PARAM_BASES[cls]), f.name), float)
+    ],
+)
+def test_non_finite_float_fields_rejected(cls, name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        cls(**{**_PARAM_BASES[cls], name: value})
 
 
 def test_atom_defaults_and_wavenumber():

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import ConfigError, ParaxialWarning
-from .params import C_LIGHT, AtomParams, CavityParams
+from .params import C_LIGHT, AtomParams, CavityParams, require_finite
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,7 @@ class FiberCavityDesign:
     n_eff: float | None = None
 
     def __post_init__(self):
+        require_finite(self, "design")
         if not self.n_core > self.n_clad > 1.0:
             raise ConfigError("need n_core > n_clad > 1")
         if not 0.0 < self.mirror_transmission < 1.0:

@@ -238,6 +238,78 @@ def _lower_branch_scaled(g2, e2, kap, da, dc):
     return n
 
 
+_ROOT_RTOL = 1e-12  # N is accepted as a root when |f(N)| <= _ROOT_RTOL * e2
+_TRACK_ITERS = 20  # Newton iterations before an element falls back
+
+
+def _lower_branch_checked(g2, e2, kap, da, dc):
+    """_lower_branch_scaled, with every element residual-checked.
+
+    Raises NoPhysicalRoot instead of returning a photon number that is not
+    a root to _ROOT_RTOL.
+    """
+    n = _lower_branch_scaled(g2, e2, kap, da, dc)
+    f, _ = _residual_scaled(n, g2, e2, kap, da, dc)
+    if not np.all(np.abs(f) <= _ROOT_RTOL * e2):
+        raise NoPhysicalRoot("batched lower-branch solve returned a photon number that is not a root")
+    return n
+
+
+def _may_be_bistable(g2, e2, kap, da, dc):
+    """True where the stationary cubic may have more than one positive root.
+
+    For g2 > 0 and e2 > 0, c3 > 0 and c0 < 0, so Descartes' rule of signs
+    allows three positive roots only when c2 < 0 < c1.  The coefficients of
+    _cubic_coeffs factor as c2 = 4*g2*(a + g2*(b - e2)) and
+    c1 = d0*(g2*(g2 + 2*(b - 2*e2)) + a), with a = d0*(kap^2 + dc^2) and
+    b = kap - dc*da; these forms do not underflow at tiny g2.  At g2 = 0
+    or e2 = 0 the root is unique.
+    """
+    d0 = da * da + 1.0
+    a = d0 * (kap * kap + dc * dc)
+    b = kap - dc * da
+    if b >= e2:  # then c2 > 0 for every g2 >= 0
+        return np.zeros(np.shape(g2), dtype=bool)
+    return (a + g2 * (b - e2) < 0.0) & (g2 * (g2 + 2.0 * (b - 2.0 * e2)) + a > 0.0)
+
+
+def _lower_branch_from(n_start, g2, e2, kap, da, dc):
+    """Lower-branch photon numbers for an array of couplings g2, by Newton from n_start.
+
+    Made for stepping atoms in time: n_start is the previous step's root,
+    so Newton needs only a few iterations.  An element stops updating once
+    |f| <= _ROOT_RTOL * e2, so its result never depends on the other
+    elements.  A converged root is the lower branch unless
+    _may_be_bistable; elements that fail either test fall back to
+    _lower_branch_checked.
+    """
+    n = n_start
+    tol = _ROOT_RTOL * e2
+    d0 = da * da + 1.0
+    two_g2 = 2.0 * g2
+    for it in range(_TRACK_ITERS + 1):
+        # f and f' of _residual_scaled, with the per-call factors taken out
+        t = two_g2 * n
+        d = d0 + t
+        gam = g2 / d
+        ka = kap + gam
+        dd = dc - da * gam
+        s = ka * ka + dd * dd
+        f = n * s - e2
+        todo = ~(np.abs(f) <= tol)
+        if it == _TRACK_ITERS or not np.count_nonzero(todo):
+            break
+        fp = s - 2.0 * t * gam * (ka - da * dd) / d
+        # a Newton step may at most halve N, which keeps it positive
+        step = np.maximum(n - f / np.where(fp == 0.0, 1.0, fp), 0.5 * n)
+        n = np.where(todo, step, n)
+    redo = todo | _may_be_bistable(g2, e2, kap, da, dc)
+    if np.count_nonzero(redo):
+        n = n.copy()
+        n[redo] = _lower_branch_checked(g2[redo], e2, kap, da, dc)
+    return n
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ the convention.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 import warnings
 
@@ -26,10 +27,17 @@ import numpy as np
 
 from .errors import ConfigError, QuasiStaticViolated, StepTooLarge
 from .params import HBAR, K_B, KHZ, AtomParams, CavityParams, DriveParams, US, require_finite
-from .steady_state import _roots_scaled, empty_cavity_state, stationary_scan
+from .steady_state import (
+    _lower_branch_checked,
+    _lower_branch_from,
+    empty_cavity_state,
+    stationary_scan,
+)
 
 PRESENCE_WAISTS = 3.0  # |y| within this many waists counts as "atom present"
 _DIP_SWEEP = (1, 2, 3, 4, 5)  # persistence conventions (in strides) for the dark-rate spread
+BLOCK_ATOMS = 128  # most atoms stepped together in one block
+_STEP_BLOCK = 256  # steps of uniforms and normals an atom draws at a time
 
 
 @dataclass(frozen=True)
@@ -243,92 +251,8 @@ def _check_step(atom, cavity, guide, sim):
         )
 
 
-def simulate_trajectory(
-    atom: AtomParams,
-    cavity: CavityParams,
-    drive: DriveParams,
-    guide: GuideParams,
-    sim: SimConfig,
-    rng: np.random.Generator,
-) -> TrajectoryRecord:
-    """One atom transit with quasi-static field and Poisson detector clicks.
-
-    Without recoil the kinematics are closed-form and the photon numbers
-    are solved vectorized over the whole trajectory.  With recoil, each
-    step applies hbar*k kicks in isotropic directions at the spontaneous
-    rate 2*Gamma*rho11 plus a Gaussian axial momentum-diffusion kick, so
-    the motion is integrated step by step (exact harmonic rotations, so
-    the integrator itself introduces no secular error).
-    """
-    _check_step(atom, cavity, guide, sim)
-    pos, vel = sample_initial(guide, atom, cavity, rng)
-    n_steps = int(round(sim.duration / sim.dt))
-    times = np.arange(n_steps + 1) * sim.dt
-    gam = atom.gamma
-
-    if not sim.include_recoil:
-        om = guide.trap_omega
-        cos_t, sin_t = np.cos(om * times), np.sin(om * times)
-        position = np.empty((n_steps + 1, 3))
-        position[:, 0] = pos[0] * cos_t + (vel[0] / om) * sin_t
-        position[:, 1] = pos[1] + vel[1] * times
-        position[:, 2] = pos[2] * cos_t + (vel[2] / om) * sin_t
-        g_t = local_coupling(position, cavity, atom)
-        n_t = stationary_scan(atom, cavity, drive, g_t)
-        g2s = (g_t / gam) ** 2
-        d0 = (atom.delta_a / gam) ** 2 + 1.0
-        rho11_t = g2s * n_t / (d0 + 2.0 * g2s * n_t)
-    else:
-        position = np.empty((n_steps + 1, 3))
-        n_t = np.empty(n_steps + 1)
-        rho11_t = np.empty(n_steps + 1)
-        k_opt = atom.k
-        w0sq = cavity.waist**2
-        e2 = drive.j_in * cavity.kappa_t / gam**2
-        kap_s = cavity.kappa / gam
-        da_s = atom.delta_a / gam
-        dc_s = cavity.delta_c / gam
-        d0 = da_s * da_s + 1.0
-        n_free = e2 / (kap_s * kap_s + dc_s * dc_s)
-        eta2 = drive.j_in * cavity.kappa_t
-        hk = HBAR * k_opt
-        inv_mass = 1.0 / atom.mass
-        om = guide.trap_omega
-        cw, sw = math.cos(om * sim.dt), math.sin(om * sim.dt)
-        gk = gam * cavity.kappa
-        x, y, z = pos
-        vx, vy, vz = vel
-        for i in range(n_steps + 1):
-            envelope = math.exp(-(y * y + z * z) / w0sq)
-            cx = math.cos(k_opt * x)
-            g2s = (cavity.g_max * envelope * cx / gam) ** 2
-            if g2s > 0.0:
-                n = _roots_scaled(g2s, e2, kap_s, da_s, dc_s)[0]
-                rho = g2s * n / (d0 + 2.0 * g2s * n)
-            else:
-                n, rho = n_free, 0.0
-            position[i] = (x, y, z)
-            n_t[i] = n
-            rho11_t[i] = rho
-            if i == n_steps:
-                break
-            n_kicks = rng.poisson(2.0 * gam * rho * sim.dt)
-            if n_kicks:
-                dirs = rng.normal(size=(n_kicks, 3))
-                norms = np.linalg.norm(dirs, axis=1)
-                norms[norms == 0.0] = 1.0
-                kick = (hk * inv_mass) * (dirs / norms[:, None]).sum(axis=0)
-                vx += kick[0]
-                vy += kick[1]
-                vz += kick[2]
-            g_env = cavity.g_max * envelope
-            denom = gk + g_env * g_env * cx * cx
-            diff = gam * hk * hk * eta2 * g_env * g_env / (denom * denom)
-            vx += rng.normal() * math.sqrt(2.0 * diff * sim.dt) * inv_mass
-            x, vx = x * cw + (vx / om) * sw, -x * om * sw + vx * cw
-            z, vz = z * cw + (vz / om) * sw, -z * om * sw + vz * cw
-            y += vy * sim.dt
-
+def _record(times, position, n_t, rho11_t, gam, cavity, sim, rng) -> TrajectoryRecord:
+    """Scattered photons, detector clicks and windowed counts of one transit."""
     m_scattered = float(np.trapezoid(2.0 * gam * rho11_t, times))
     clicks = _poisson_times(times, n_t * _detected_rate_factor(cavity), rng)
     window_times, counts = windowed_counts(clicks, sim.window, sim.stride, duration=sim.duration)
@@ -343,9 +267,172 @@ def simulate_trajectory(
     )
 
 
-def _simulate_indexed(args) -> TrajectoryRecord:
-    atom, cavity, drive, guide, sim, index = args
-    return simulate_trajectory(atom, cavity, drive, guide, sim, trajectory_rng(sim.seed, index))
+def simulate_trajectory(
+    atom: AtomParams,
+    cavity: CavityParams,
+    drive: DriveParams,
+    guide: GuideParams,
+    sim: SimConfig,
+    rng: np.random.Generator,
+) -> TrajectoryRecord:
+    """One atom transit with quasi-static field and Poisson detector clicks.
+
+    Without recoil the kinematics are closed-form and the photon numbers
+    are solved vectorized over the whole trajectory.  With recoil this is
+    simulate_block for a block of one atom.
+    """
+    if sim.include_recoil:
+        return simulate_block(atom, cavity, drive, guide, sim, [rng])[0]
+    _check_step(atom, cavity, guide, sim)
+    pos, vel = sample_initial(guide, atom, cavity, rng)
+    n_steps = int(round(sim.duration / sim.dt))
+    times = np.arange(n_steps + 1) * sim.dt
+    gam = atom.gamma
+    om = guide.trap_omega
+    cos_t, sin_t = np.cos(om * times), np.sin(om * times)
+    position = np.empty((n_steps + 1, 3))
+    position[:, 0] = pos[0] * cos_t + (vel[0] / om) * sin_t
+    position[:, 1] = pos[1] + vel[1] * times
+    position[:, 2] = pos[2] * cos_t + (vel[2] / om) * sin_t
+    g_t = local_coupling(position, cavity, atom)
+    n_t = stationary_scan(atom, cavity, drive, g_t)
+    g2s = (g_t / gam) ** 2
+    d0 = (atom.delta_a / gam) ** 2 + 1.0
+    rho11_t = g2s * n_t / (d0 + 2.0 * g2s * n_t)
+    return _record(times, position, n_t, rho11_t, gam, cavity, sim, rng)
+
+
+def _kick_count(u: float, lam: float, p0: float) -> int:
+    """Poisson(lam) count by inversion of the uniform u; p0 = exp(-lam)."""
+    count, p, cdf = 0, p0, p0
+    while u >= cdf and p > 0.0:
+        count += 1
+        p *= lam / count
+        cdf += p
+    return count
+
+
+def simulate_block(
+    atom: AtomParams,
+    cavity: CavityParams,
+    drive: DriveParams,
+    guide: GuideParams,
+    sim: SimConfig,
+    rngs,
+) -> list[TrajectoryRecord]:
+    """Transits of a block of atoms, one generator each, stepped in lockstep.
+
+    With recoil, each step applies hbar*k kicks in isotropic directions at
+    the spontaneous rate 2*Gamma*rho11 plus a Gaussian axial
+    momentum-diffusion kick, so the motion is integrated step by step
+    (exact harmonic rotations, so the integrator itself introduces no
+    secular error), all atoms of the block at once as arrays.  Each atom
+    draws from its own generator, in this order: its initial condition;
+    for each run of _STEP_BLOCK steps, the uniforms that set its Poisson
+    kick counts by inversion and its axial-diffusion normals; the
+    directions of each of its kicks as it happens; its detector clicks
+    after the transit.  Record i therefore depends only on rngs[i], not on
+    the block it is stepped in.  Without recoil each atom is
+    simulate_trajectory on its own.
+    """
+    if not sim.include_recoil:
+        return [simulate_trajectory(atom, cavity, drive, guide, sim, rng) for rng in rngs]
+    _check_step(atom, cavity, guide, sim)
+    n_atoms = len(rngs)
+    n_steps = int(round(sim.duration / sim.dt))
+    times = np.arange(n_steps + 1) * sim.dt
+    gam = atom.gamma
+    e2 = drive.j_in * cavity.kappa_t / gam**2
+    kap_s = cavity.kappa / gam
+    da_s = atom.delta_a / gam
+    dc_s = cavity.delta_c / gam
+    d0 = da_s * da_s + 1.0
+    neg_inv_w0sq = -1.0 / cavity.waist**2
+    k_opt = atom.k
+    inv_gam2 = 1.0 / gam**2
+    hk_m = HBAR * k_opt / atom.mass  # recoil velocity
+    dt = sim.dt
+    # axial diffusion kick: normal * diff_scale * g_env / (Gamma*kappa + g_local^2)
+    diff_scale = hk_m * math.sqrt(2.0 * gam * drive.j_in * cavity.kappa_t * dt)
+    gk = gam * cavity.kappa
+    om = guide.trap_omega
+    # one step of the harmonic guide as a rotation of (position, velocity)
+    cw, sw_om, om_sw = math.cos(om * dt), math.sin(om * dt) / om, om * math.sin(om * dt)
+    kick_rate = 2.0 * gam * dt  # Poisson mean of the kicks per unit rho11
+
+    initial = [sample_initial(guide, atom, cavity, rng) for rng in rngs]
+    pos = np.array([p for p, _ in initial])
+    vel = np.array([v for _, v in initial])
+    q, vq = pos[:, ::2].T.copy(), vel[:, ::2].T.copy()  # (x, z) rows, rotated by the guide
+    y, vy = pos[:, 1].copy(), vel[:, 1].copy()
+    position = np.empty((n_atoms, n_steps + 1, 3))
+    n_t = np.empty((n_atoms, n_steps + 1))
+    rho11_t = np.empty((n_atoms, n_steps + 1))
+    n = None
+    for i in range(n_steps + 1):
+        g_env = cavity.g_max * np.exp((y * y + q[1] * q[1]) * neg_inv_w0sq)
+        g_loc2 = (g_env * np.cos(k_opt * q[0])) ** 2
+        g2 = g_loc2 * inv_gam2
+        if n is None:
+            n = _lower_branch_checked(g2, e2, kap_s, da_s, dc_s)
+        else:
+            n = _lower_branch_from(n, g2, e2, kap_s, da_s, dc_s)
+        g2n = g2 * n
+        rho = g2n / (d0 + 2.0 * g2n)
+        position[:, i, ::2] = q.T
+        position[:, i, 1] = y
+        n_t[:, i] = n
+        rho11_t[:, i] = rho
+        if i == n_steps:
+            break
+        k = i % _STEP_BLOCK
+        if k == 0:
+            count = min(_STEP_BLOCK, n_steps - i)
+            uniforms = np.empty((count, n_atoms))
+            normals = np.empty((count, n_atoms))
+            for j, rng in enumerate(rngs):
+                uniforms[:, j] = rng.random(count)
+                normals[:, j] = rng.standard_normal(count)
+            normals *= diff_scale
+        p0 = np.exp(rho * -kick_rate)
+        for j in (uniforms[k] >= p0).nonzero()[0].tolist():
+            n_kicks = _kick_count(uniforms[k, j], kick_rate * rho[j], p0[j])
+            for dx, dy, dz in rngs[j].standard_normal((n_kicks, 3)).tolist():
+                scale = hk_m / (math.sqrt(dx * dx + dy * dy + dz * dz) or 1.0)
+                vq[0, j] += dx * scale
+                vy[j] += dy * scale
+                vq[1, j] += dz * scale
+        vq[0] += normals[k] * g_env / (gk + g_loc2)
+        q, vq = q * cw + vq * sw_om, vq * cw - q * om_sw
+        y = y + vy * dt
+    return [
+        _record(times, position[j], n_t[j], rho11_t[j], gam, cavity, sim, rng)
+        for j, rng in enumerate(rngs)
+    ]
+
+
+def _block_records(args):
+    """Records of trajectories start..stop-1 of the ensemble.
+
+    Without recoil they come one at a time, so no block is held in memory.
+    """
+    atom, cavity, drive, guide, sim, start, stop = args
+    rngs = [trajectory_rng(sim.seed, i) for i in range(start, stop)]
+    if not sim.include_recoil:
+        return (simulate_trajectory(atom, cavity, drive, guide, sim, rng) for rng in rngs)
+    return simulate_block(atom, cavity, drive, guide, sim, rngs)
+
+
+def _pooled_block(args) -> list[TrajectoryRecord]:
+    return list(_block_records(args))
+
+
+def _blocks(n_atoms: int, workers: int) -> list[tuple[int, int]]:
+    """Fewest equal contiguous blocks of at most BLOCK_ATOMS, in a multiple of workers."""
+    count = -(-n_atoms // BLOCK_ATOMS)
+    count = min(n_atoms, -(-count // workers) * workers)
+    edges = [k * n_atoms // count for k in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _first_detection(record: TrajectoryRecord, cavity: CavityParams, sim: SimConfig):
@@ -487,34 +574,40 @@ def run_ensemble(
     """Simulate the ensemble and the dark stream; deterministic given sim.seed.
 
     Per-trajectory RNG streams are addressed by (seed, index), so the
-    report is byte-identical for any workers count.  record_sink, if
-    given, receives (index, TrajectoryRecord) in index order.
+    report is byte-identical for any workers count.  The atoms run in
+    contiguous blocks (see _blocks) on at most min(workers, CPU count)
+    processes.  record_sink, if given, receives (index, TrajectoryRecord)
+    in index order.
     """
-    args = [(atom, cavity, drive, guide, sim, i) for i in range(sim.n_atoms)]
+    # the dark stream first: its large arrays are freed before any block is held
+    rate, ci, conv = dark_rates(cavity, drive, sim)
+    workers = max(1, min(workers, os.cpu_count() or 1))
+    blocks = _blocks(sim.n_atoms, workers)
+    args = [(atom, cavity, drive, guide, sim, start, stop) for start, stop in blocks]
     detections = []
     m_values = np.empty(sim.n_atoms)
 
-    def consume(index, record):
-        m_values[index] = record.m_scattered
-        hit = _first_detection(record, cavity, sim)
-        if hit is not None:
-            detections.append((index, hit))
-        if record_sink is not None:
-            record_sink(index, record)
+    def consume(start, records):
+        for index, record in enumerate(records, start):
+            m_values[index] = record.m_scattered
+            hit = _first_detection(record, cavity, sim)
+            if hit is not None:
+                detections.append((index, hit))
+            if record_sink is not None:
+                record_sink(index, record)
 
-    if workers <= 1:
-        for i, arg in enumerate(args):
-            consume(i, _simulate_indexed(arg))
+    pool_size = min(workers, len(blocks))
+    if pool_size == 1:
+        for (start, _), arg in zip(blocks, args):
+            consume(start, _block_records(arg))
     else:
         # imported here: the process pool machinery costs every cold start
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, sim.n_atoms // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, record in enumerate(pool.map(_simulate_indexed, args, chunksize=chunk)):
-                consume(i, record)
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            for (start, _), records in zip(blocks, pool.map(_pooled_block, args)):
+                consume(start, records)
 
-    rate, ci, conv = dark_rates(cavity, drive, sim)
     return DetectionReport(
         efficiency=len(detections) / sim.n_atoms,
         dark_rate=rate,

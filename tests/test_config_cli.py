@@ -336,3 +336,15 @@ def test_cli_design_cavity_length_conventions_agree(tmp_path):
 def test_cli_design_cavity_exclusive_options(tmp_path, extra):
     out = tmp_path / "design.json"
     assert run(["design-cavity", "--core-um", "5", "--out", str(out)] + extra) == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--core-um", "inf"), ("--core-um", "-inf"), ("--length-mm", "nan"), ("--transmission", "nan")],
+)
+def test_cli_design_cavity_rejects_non_finite(tmp_path, capsys, flag, value):
+    args = {"--core-um": "5", "--length-mm": "10.4", flag: value}
+    argv = ["design-cavity", "--mode-index", "13", "--out", str(tmp_path / "design.json")]
+    assert run(argv + [f"{key}={val}" for key, val in args.items()]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "design.json").exists()

@@ -25,6 +25,7 @@ from cavdet import (
     stationary_photon_numbers,
     stationary_scan,
 )
+from cavdet.steady_state import _cubic_coeffs, _may_be_bistable
 
 
 def residual(n, atom, cavity, drive, g):
@@ -335,3 +336,28 @@ def test_monotone_in_pump_below_bistability(g, kt, kl, j1, factor):
     n1 = solve_stationary(atom, cavity, DriveParams(j_in=j1, tau=1e-5)).n_photons
     n2 = solve_stationary(atom, cavity, DriveParams(j_in=j1 * factor, tau=1e-5)).n_photons
     assert n2 >= n1 * (1 - 1e-12)
+
+
+def test_bistability_screen_matches_cubic_coefficient_signs():
+    # the factored screen of the warm-started solve against the signs of
+    # c2 and c1 computed from the cubic's coefficients directly
+    rng = np.random.default_rng(11)
+    g2 = 10.0 ** np.linspace(-6.0, 4.0, 101)
+    flagged = compared = 0
+    for _ in range(400):
+        e2 = 10.0 ** rng.uniform(-3, 5)
+        kap = 10.0 ** rng.uniform(-2, 2)
+        da, dc = rng.uniform(-50, 50, 2)
+        _, c2, c1, _ = _cubic_coeffs(g2, e2, kap, da, dc)
+        # compare only where each coefficient is clear of the rounding of its terms
+        d0, b = da * da + 1.0, 2.0 * g2
+        a1, a2 = kap * d0 + g2, dc * d0 - g2 * da
+        clear = (np.abs(c2) > 1e-9 * (2.0 * (np.abs(a1 * kap * b) + np.abs(a2 * dc * b)) + e2 * b * b)) & (
+            np.abs(c1) > 1e-9 * (a1 * a1 + a2 * a2 + 2.0 * e2 * d0 * b)
+        )
+        screen = _may_be_bistable(g2, e2, kap, da, dc)
+        assert np.array_equal(screen[clear], ((c2 < 0.0) & (c1 > 0.0))[clear])
+        flagged += int(screen.sum())
+        compared += int(clear.sum())
+    assert compared > 0.99 * 400 * g2.size
+    assert 0.01 * compared < flagged < 0.99 * compared

@@ -1,5 +1,6 @@
 """Transit Monte Carlo: kinematics, click statistics, detection, determinism."""
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from cavdet import (
     ConfigError,
     DriveParams,
     GuideParams,
+    NoPhysicalRoot,
     QuasiStaticViolated,
     SimConfig,
     StepTooLarge,
@@ -27,9 +29,11 @@ from cavdet import (
     sample_initial,
     simulate_trajectory,
     solve_stationary,
+    stationary_photon_numbers,
     trajectory_rng,
     windowed_counts,
 )
+from cavdet import steady_state, trajectory_sim
 from cavdet.trajectory_sim import _poisson_times
 
 US_ = 1e-6
@@ -303,6 +307,170 @@ def test_worker_count_does_not_change_results(atom, transit_cavity, transit_driv
     for i in range(8):
         assert np.array_equal(sink1[i].click_times, sink2[i].click_times)
         assert np.array_equal(sink1[i].n_photons, sink2[i].n_photons)
+        assert np.array_equal(sink1[i].position, sink2[i].position)
+        assert sink1[i].m_scattered == sink2[i].m_scattered
+
+
+def _same_record(a, b):
+    return (
+        np.array_equal(a.position, b.position)
+        and np.array_equal(a.n_photons, b.n_photons)
+        and np.array_equal(a.click_times, b.click_times)
+        and a.m_scattered == b.m_scattered
+    )
+
+
+def test_trajectory_does_not_depend_on_its_block(
+    monkeypatch, atom, transit_cavity, transit_drive, guide
+):
+    # alone, inside one lockstep block of 80, and split over two processes;
+    # an atom that keeps updating after its Newton solve converged would
+    # differ here in the last bits
+    sim = SimConfig(seed=3, n_atoms=80, duration=40 * US, dark_windows=100)
+    assert trajectory_sim._blocks(80, 1) == [(0, 80)]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sinks = {1: {}, 2: {}}
+    for workers, sink in sinks.items():
+        run_ensemble(
+            atom, transit_cavity, transit_drive, guide, sim, workers=workers,
+            record_sink=sink.__setitem__,
+        )
+    for i in (0, 1, 39, 40, 79):
+        alone = simulate_trajectory(
+            atom, transit_cavity, transit_drive, guide, sim, trajectory_rng(3, i)
+        )
+        assert _same_record(alone, sinks[1][i])
+        assert _same_record(alone, sinks[2][i])
+
+
+def test_blocks_are_equal_and_a_multiple_of_workers():
+    for n_atoms in (1, 7, 80, 128, 129, 500, 600):
+        for workers in (1, 2, 3):
+            blocks = trajectory_sim._blocks(n_atoms, workers)
+            sizes = [stop - start for start, stop in blocks]
+            assert blocks[0][0] == 0 and blocks[-1][1] == n_atoms
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert max(sizes) - min(sizes) <= 1
+            assert max(sizes) <= trajectory_sim.BLOCK_ATOMS
+            assert len(blocks) % workers == 0 or len(blocks) == n_atoms
+            # the fewest such blocks: one block fewer would break a rule
+            fewer = len(blocks) - workers
+            assert fewer < 1 or -(-n_atoms // fewer) > trajectory_sim.BLOCK_ATOMS
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize(
+    "n_atoms, workers, cpus, pool",
+    [(80, 64, 4, 4), (3, 64, 4, 3), (6, 2, 1, None), (6, 3, 8, 3)],
+)
+def test_worker_pool_is_clamped(
+    monkeypatch, atom, transit_cavity, transit_drive, guide, n_atoms, workers, cpus, pool
+):
+    import concurrent.futures
+
+    _RecordingPool.sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    sim = SimConfig(
+        seed=0, n_atoms=n_atoms, include_recoil=False, duration=16 * US, dark_windows=20
+    )
+    rep = run_ensemble(atom, transit_cavity, transit_drive, guide, sim, workers=workers)
+    assert _RecordingPool.sizes == ([] if pool is None else [pool])
+    assert rep == run_ensemble(atom, transit_cavity, transit_drive, guide, sim)
+
+
+# --- the photon-number solve of the recoil stepper ------------------------------
+
+
+def _residuals(rec, atom, cavity, drive):
+    """h(N) = N*((kappa + gamma(N))^2 + (delta_c - U(N))^2) - eta^2 at every step, in SI."""
+    g = local_coupling(rec.position, cavity, atom)
+    n = rec.n_photons
+    d = atom.delta_a**2 + atom.gamma**2 + 2.0 * g * g * n
+    damping = cavity.kappa + g * g * atom.gamma / d
+    shift = cavity.delta_c - g * g * atom.delta_a / d
+    return n * (damping**2 + shift**2) - drive.j_in * cavity.kappa_t
+
+
+def test_recoil_photon_numbers_are_roots(atom, transit_cavity, transit_drive, guide):
+    sim = SimConfig(seed=0, n_atoms=12, dark_windows=100)
+    eta2 = transit_drive.j_in * transit_cavity.kappa_t
+    records = []
+    run_ensemble(
+        atom, transit_cavity, transit_drive, guide, sim,
+        record_sink=lambda i, r: records.append(r),
+    )
+    for rec in records:
+        assert np.all(rec.n_photons > 0.0)
+        assert np.max(np.abs(_residuals(rec, atom, transit_cavity, transit_drive))) <= 1e-10 * eta2
+
+
+# strongly driven, strongly coupled: near the antinode c2 < 0 < c1, so the
+# cubic may have three positive roots and Newton's root is not trusted
+STRONG_CAVITY = CavityParams(g_max=12 * MHZ, kappa_t=1.5 * MHZ, kappa_loss=1.5 * MHZ, waist=3 * UM)
+STRONG_DRIVE = DriveParams(75e6, 10 * US)
+
+
+def test_recoil_solve_guard_falls_back_where_bistable(monkeypatch, atom, guide):
+    guarded = []
+    checked = steady_state._lower_branch_checked
+
+    def spy(g2, *args):
+        guarded.append(np.array(g2))
+        return checked(g2, *args)
+
+    monkeypatch.setattr(steady_state, "_lower_branch_checked", spy)
+    sim = SimConfig(seed=0, duration=40 * US)
+    rec = simulate_trajectory(atom, STRONG_CAVITY, STRONG_DRIVE, guide, sim, trajectory_rng(0, 2))
+    gam = atom.gamma
+    scaled = (
+        STRONG_DRIVE.j_in * STRONG_CAVITY.kappa_t / gam**2,
+        STRONG_CAVITY.kappa / gam,
+        atom.delta_a / gam,
+        STRONG_CAVITY.delta_c / gam,
+    )
+    bistable = [
+        (c2 < 0.0) & (c1 > 0.0)
+        for c3, c2, c1, c0 in (steady_state._cubic_coeffs(g2, *scaled) for g2 in guarded)
+    ]
+    assert any(mask.any() for mask in bistable)
+    for i in range(rec.times.size):
+        g = local_coupling(rec.position[i], STRONG_CAVITY, atom)
+        lower = stationary_photon_numbers(atom, STRONG_CAVITY, STRONG_DRIVE, g_local=g)[0]
+        assert rec.n_photons[i] == pytest.approx(lower, rel=1e-9)
+
+
+def test_recoil_fallback_that_is_not_a_root_raises(monkeypatch, atom, guide):
+    calls = []
+    lower = steady_state._lower_branch_scaled
+
+    def corrupt_after_first(g2, *args):
+        calls.append(g2.size)
+        n = lower(g2, *args)
+        return n if len(calls) == 1 else 1.5 * n
+
+    monkeypatch.setattr(steady_state, "_lower_branch_scaled", corrupt_after_first)
+    sim = SimConfig(seed=0, duration=40 * US)
+    with pytest.raises(NoPhysicalRoot):
+        simulate_trajectory(atom, STRONG_CAVITY, STRONG_DRIVE, guide, sim, trajectory_rng(0, 2))
+    assert len(calls) >= 2  # raised by a fallback, not by the first step
 
 
 # --- ensemble detection -----------------------------------------------------------

@@ -14,6 +14,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .fiber_cavity import FiberCavityDesign, derive, v_number
 from .homodyne_detection import dispersive_saturation_pump, homodyne_report
 from .motion import spatial_averages
 from .params import MHZ, UM, US, AtomParams, DriveParams
-from .resonant_detection import saturation_pump, snr_resonant
+from .resonant_detection import output_photons, saturation_pump, snr_resonant
 from .steady_state import empty_cavity_state, solve_stationary
 from .trajectory_sim import run_ensemble
 
@@ -42,6 +43,8 @@ class ScanSpec:
     def __post_init__(self):
         if self.points < 2:
             raise ConfigError("scan needs at least 2 points")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ConfigError(f"scan bounds must be finite, got lo={self.lo}, hi={self.hi}")
         if self.hi <= self.lo:
             raise ConfigError("scan bounds must satisfy lo < hi")
         if self.log and self.lo <= 0:
@@ -79,7 +82,10 @@ def _pump_grid(args, default_center: float) -> ScanSpec:
     if args.jmin_per_us is not None and args.jmax_per_us is not None:
         lo, hi = args.jmin_per_us * 1e6, args.jmax_per_us * 1e6
     elif args.jmin_per_us is None and args.jmax_per_us is None:
-        half = 10.0 ** (args.decades / 2.0)
+        try:
+            half = 10.0 ** (args.decades / 2.0)
+        except OverflowError:  # ScanSpec rejects the infinite bound
+            half = math.inf
         lo, hi = default_center / half, default_center * half
     else:
         raise ConfigError("give both --jmin-per-us and --jmax-per-us, or neither")
@@ -88,10 +94,11 @@ def _pump_grid(args, default_center: float) -> ScanSpec:
 
 def _cmd_steady(args) -> int:
     cfg = load_config(args.config)
+    if args.g_frac is not None and not math.isfinite(args.g_frac):
+        raise ConfigError(f"--g-frac must be finite, got {args.g_frac}")
     g_local = None if args.g_frac is None else args.g_frac * cfg.cavity.g_max
     state = solve_stationary(cfg.atom, cfg.cavity, cfg.drive, g_local=g_local)
     empty = empty_cavity_state(cfg.cavity, cfg.drive)
-    out_rate = 2.0 if cfg.cavity.asymmetric_input else 1.0
     payload = {
         "version": __version__,
         "config_sha256": cfg.digest,
@@ -102,8 +109,8 @@ def _cmd_steady(args) -> int:
         "light_shift_mhz": state.light_shift / MHZ,
         "branch_count": state.branch_count,
         "all_roots": list(state.all_roots),
-        "n_out": out_rate * state.n_photons * cfg.cavity.kappa_t * cfg.drive.tau,
-        "n_out_empty": out_rate * empty.n_photons * cfg.cavity.kappa_t * cfg.drive.tau,
+        "n_out": output_photons(state, cfg.cavity, cfg.drive),
+        "n_out_empty": output_photons(empty, cfg.cavity, cfg.drive),
     }
     _write_json(args.out, payload)
     print(
@@ -113,93 +120,107 @@ def _cmd_steady(args) -> int:
     return 0
 
 
-def _cmd_scan_pump(args) -> int:
+@dataclass(frozen=True)
+class _PumpScan:
+    """One pump-scan command: its grid, the report at each pump rate, its CSV columns.
+
+    The CSV is named after the command.  Rows are j_in [1/us] followed by the
+    report fields of columns; the stdout summary is formatted with the point
+    count n and, when best names a column, that column's maximum s and its
+    pump rate j.
+    """
+
+    help: str
+    points: int
+    decades: float | None  # None: a --decades flag, else this fixed span
+    center: Callable  # cfg -> default grid centre [1/s]
+    report: Callable  # (cfg, drive) -> report dataclass
+    columns: tuple[tuple[str, str], ...]  # (report field, CSV header)
+    summary: str
+    best: str | None = None
+
+
+# the lambdas look their functions up at call time, so rebinding them (as a
+# tracer does) reaches the scans
+_PUMP_SCANS = {
+    "scan-pump": _PumpScan(
+        help="resonant SNR and budget vs pump rate",
+        points=200,
+        decades=None,
+        center=lambda cfg: saturation_pump(cfg.atom, cfg.cavity),
+        report=lambda cfg, drive: snr_resonant(cfg.atom, cfg.cavity, drive),
+        columns=(
+            ("n_out_empty", "N_out_empty [photons]"),
+            ("n_out_atom", "N_out_atom [photons]"),
+            ("snr", "S [dimensionless]"),
+            ("m_scattered", "M [photons]"),
+            ("saturation", "saturation [dimensionless]"),
+        ),
+        summary="{n} points, max S={s:.4g} at j_in={j:.4g}/us",
+        best="snr",
+    ),
+    "homodyne-scan": _PumpScan(
+        help="dispersive SNR and budget vs pump rate",
+        points=200,
+        decades=None,
+        center=lambda cfg: dispersive_saturation_pump(cfg.atom, cfg.cavity),
+        report=lambda cfg, drive: homodyne_report(cfg.atom, cfg.cavity, drive),
+        columns=(
+            ("phase_shift", "phase_shift [rad]"),
+            ("snr", "S_hom [dimensionless]"),
+            ("m_scattered", "M [photons]"),
+            ("n_out", "N_out [photons]"),
+            ("small_angle_valid", "small_angle_valid [bool]"),
+        ),
+        summary="{n} points, max S_hom={s:.4g} at j_in={j:.4g}/us",
+        best="snr",
+    ),
+    "motion-averages": _PumpScan(
+        help="axis-averaged back-action vs pump rate",
+        points=41,
+        decades=2.0,
+        center=lambda cfg: cfg.drive.j_in,
+        report=lambda cfg, drive: spatial_averages(cfg.atom, cfg.cavity, drive),
+        columns=(
+            ("s_bar", "S_bar [dimensionless]"),
+            ("m_bar", "M_bar [photons]"),
+            ("d_bar", "D_bar [kg^2 m^2/s^3]"),
+            ("delta_p", "delta_p [hbar k]"),
+            ("delta_z", "delta_z [m]"),
+        ),
+        summary="{n} pump points",
+    ),
+}
+
+
+def _cmd_pump_scan(args) -> int:
+    scan = _PUMP_SCANS[args.command]
     cfg = load_config(args.config)
-    spec = _pump_grid(args, saturation_pump(cfg.atom, cfg.cavity))
+    spec = _pump_grid(args, scan.center(cfg))
+    fields = [name for name, _ in scan.columns]
     rows = []
     for j in spec.grid():
-        rep = snr_resonant(cfg.atom, cfg.cavity, DriveParams(j_in=j, tau=cfg.drive.tau))
-        rows.append(
-            (j / 1e6, rep.n_out_empty, rep.n_out_atom, rep.snr, rep.m_scattered, rep.saturation)
-        )
-    best = max(rows, key=lambda r: r[3])
+        rep = scan.report(cfg, DriveParams(j_in=j, tau=cfg.drive.tau))
+        rows.append((j / 1e6, *(getattr(rep, name) for name in fields)))
     _write_csv(
         args.out,
-        [("version", __version__), ("command", "scan-pump"), ("config_sha256", cfg.digest)],
-        [
-            "j_in [1/us]",
-            "N_out_empty [photons]",
-            "N_out_atom [photons]",
-            "S [dimensionless]",
-            "M [photons]",
-            "saturation [dimensionless]",
-        ],
+        [("version", __version__), ("command", args.command), ("config_sha256", cfg.digest)],
+        ["j_in [1/us]", *(header for _, header in scan.columns)],
         rows,
     )
-    print(f"wrote {args.out}: {len(rows)} points, max S={best[3]:.4g} at j_in={best[0]:.4g}/us")
-    return 0
-
-
-def _cmd_homodyne_scan(args) -> int:
-    cfg = load_config(args.config)
-    spec = _pump_grid(args, dispersive_saturation_pump(cfg.atom, cfg.cavity))
-    rows = []
-    for j in spec.grid():
-        rep = homodyne_report(cfg.atom, cfg.cavity, DriveParams(j_in=j, tau=cfg.drive.tau))
-        rows.append(
-            (j / 1e6, rep.phase_shift, rep.snr, rep.m_scattered, rep.n_out, rep.small_angle_valid)
-        )
-    best = max(rows, key=lambda r: r[2])
-    _write_csv(
-        args.out,
-        [("version", __version__), ("command", "homodyne-scan"), ("config_sha256", cfg.digest)],
-        [
-            "j_in [1/us]",
-            "phase_shift [rad]",
-            "S_hom [dimensionless]",
-            "M [photons]",
-            "N_out [photons]",
-            "small_angle_valid [bool]",
-        ],
-        rows,
-    )
-    print(
-        f"wrote {args.out}: {len(rows)} points, max S_hom={best[2]:.4g} at j_in={best[0]:.4g}/us"
-    )
-    return 0
-
-
-def _cmd_motion_averages(args) -> int:
-    cfg = load_config(args.config)
-    if args.jmin_per_us is None and args.jmax_per_us is None:
-        lo, hi = cfg.drive.j_in / 10.0, cfg.drive.j_in * 10.0
-    elif args.jmin_per_us is not None and args.jmax_per_us is not None:
-        lo, hi = args.jmin_per_us * 1e6, args.jmax_per_us * 1e6
-    else:
-        raise ConfigError("give both --jmin-per-us and --jmax-per-us, or neither")
-    spec = ScanSpec(variable="j_in", lo=lo, hi=hi, points=args.points)
-    rows = []
-    for j in spec.grid():
-        av = spatial_averages(cfg.atom, cfg.cavity, DriveParams(j_in=j, tau=cfg.drive.tau))
-        rows.append((j / 1e6, av.s_bar, av.m_bar, av.d_bar, av.delta_p, av.delta_z))
-    _write_csv(
-        args.out,
-        [("version", __version__), ("command", "motion-averages"), ("config_sha256", cfg.digest)],
-        [
-            "j_in [1/us]",
-            "S_bar [dimensionless]",
-            "M_bar [photons]",
-            "D_bar [kg^2 m^2/s^3]",
-            "delta_p [hbar k]",
-            "delta_z [m]",
-        ],
-        rows,
-    )
-    print(f"wrote {args.out}: {len(rows)} pump points")
+    summary = {"n": len(rows)}
+    if scan.best is not None:
+        col = 1 + fields.index(scan.best)
+        top = max(rows, key=lambda r: r[col])
+        summary.update(s=top[col], j=top[0])
+    print(f"wrote {args.out}: " + scan.summary.format(**summary))
     return 0
 
 
 def _cmd_simulate(args) -> int:
+    for flag, value in (("--threads", args.threads), ("--decimate", args.decimate)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
     cfg = load_config(args.config)
     sim = cfg.sim
     overrides = {}
@@ -233,7 +254,6 @@ def _cmd_simulate(args) -> int:
         ("config_sha256", digest),
         ("seed", str(sim.seed)),
     ]
-    step = max(1, args.decimate)
     header = "".join(f"# {k}: {v}\n" for k, v in meta)
     traj_row = "%d," + ",".join([_FLOAT] * 5) + "\n"
     click_row = "%d," + _FLOAT + "\n"
@@ -249,9 +269,9 @@ def _cmd_simulate(args) -> int:
             click_file.write(header + "trajectory,t [us]\n")
 
             def sink(index, rec):
-                t_us = (rec.times[::step] / US).tolist()
-                xyz_um = (rec.position[::step] / UM).T.tolist()
-                rows = zip(t_us, *xyz_um, rec.n_photons[::step].tolist())
+                t_us = (rec.times[::args.decimate] / US).tolist()
+                xyz_um = (rec.position[::args.decimate] / UM).T.tolist()
+                rows = zip(t_us, *xyz_um, rec.n_photons[::args.decimate].tolist())
                 traj_file.write("".join(traj_row % (index, *values) for values in rows))
                 clicks_us = (rec.click_times / US).tolist()
                 click_file.write("".join(click_row % (index, t) for t in clicks_us))
@@ -360,13 +380,6 @@ def _cmd_design_cavity(args) -> int:
     return 0
 
 
-def _add_pump_scan_args(p):
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--decades", type=float, default=4.0)
-    p.add_argument("--jmin-per-us", type=float, default=None)
-    p.add_argument("--jmax-per-us", type=float, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavdet",
@@ -382,25 +395,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-frac", type=float, default=None, help="local coupling as fraction of g_max")
     p.set_defaults(func=_cmd_steady)
 
-    p = sub.add_parser("scan-pump", help="resonant SNR and budget vs pump rate")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default="scan_pump.csv")
-    _add_pump_scan_args(p)
-    p.set_defaults(func=_cmd_scan_pump)
-
-    p = sub.add_parser("homodyne-scan", help="dispersive SNR and budget vs pump rate")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default="homodyne_scan.csv")
-    _add_pump_scan_args(p)
-    p.set_defaults(func=_cmd_homodyne_scan)
-
-    p = sub.add_parser("motion-averages", help="axis-averaged back-action vs pump rate")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", default="motion_averages.csv")
-    p.add_argument("--points", type=int, default=41)
-    p.add_argument("--jmin-per-us", type=float, default=None)
-    p.add_argument("--jmax-per-us", type=float, default=None)
-    p.set_defaults(func=_cmd_motion_averages)
+    for name, scan in _PUMP_SCANS.items():
+        p = sub.add_parser(name, help=scan.help)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", default=name.replace("-", "_") + ".csv")
+        p.add_argument("--points", type=int, default=scan.points)
+        if scan.decades is None:
+            p.add_argument("--decades", type=float, default=4.0)
+        else:
+            p.set_defaults(decades=scan.decades)
+        p.add_argument("--jmin-per-us", type=float, default=None)
+        p.add_argument("--jmax-per-us", type=float, default=None)
+        p.set_defaults(func=_cmd_pump_scan)
 
     p = sub.add_parser("simulate", help="Monte Carlo transit ensemble")
     p.add_argument("--config", required=True)

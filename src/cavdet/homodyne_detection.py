@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import NoMaximumInBounds, NotDispersive, SmallDetuningWarning
-from .optimize import golden_max, max_on_log_grid
+from .errors import NotDispersive, SmallDetuningWarning
+from .optimize import KappaTOptimum, max_on_log_grid, max_over_kappa_t
 from .params import AtomParams, CavityParams, DriveParams, cooperativity
-from .resonant_detection import KappaTOptimum, output_photons
+from .resonant_detection import output_photons
 from .steady_state import empty_cavity_state, solve_stationary
 
 SMALL_ANGLE_MAX = 0.3  # |phi| beyond which the linearized forms degrade
@@ -151,25 +151,8 @@ def optimal_kappa_t_homodyne(
     Same contract as the resonant optimizer: cavity supplies g_max and
     kappa_loss, kappa_t is searched, bound hits are flagged.
     """
-    if bounds is None:
-        if cavity.kappa_loss <= 0:
-            raise NoMaximumInBounds("explicit bounds required when kappa_loss = 0")
-        bounds = (cavity.kappa_loss / 20.0, 5.0 * cavity.kappa_loss)
-    lo, hi = bounds
-    if not (0.0 < lo < hi):
-        raise NoMaximumInBounds(f"invalid kappa_t bounds [{lo}, {hi}]")
 
-    def objective(log_kt):
-        trial = replace(cavity, kappa_t=math.exp(log_kt))
-        return max_snr_hom_over_pump(atom, trial, drive.tau, per_decade=31)[1]
+    def pump_max(trial, per_decade):
+        return max_snr_hom_over_pump(atom, trial, drive.tau, per_decade=per_decade)
 
-    log_kt, _ = golden_max(objective, math.log(lo), math.log(hi), rel_tol=rel_tol)
-    kt = math.exp(log_kt)
-    j_opt, snr = max_snr_hom_over_pump(atom, replace(cavity, kappa_t=kt), drive.tau)
-    return KappaTOptimum(
-        kappa_t=kt,
-        snr=snr,
-        j_in=j_opt,
-        at_lower_bound=kt <= lo * 1.05,
-        at_upper_bound=kt >= hi / 1.05,
-    )
+    return max_over_kappa_t(pump_max, cavity, bounds, rel_tol)

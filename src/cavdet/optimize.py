@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,3 +62,45 @@ def max_on_log_grid(f, lo: float, hi: float, per_decade: int = 61, polish: bool 
     if fx >= vals[i]:
         return x, fx
     return float(grid[i]), float(vals[i])
+
+
+@dataclass(frozen=True)
+class KappaTOptimum:
+    kappa_t: float
+    snr: float
+    j_in: float
+    at_lower_bound: bool
+    at_upper_bound: bool
+
+
+def max_over_kappa_t(pump_max, cavity, bounds=None, rel_tol: float = 1e-4) -> KappaTOptimum:
+    """Mirror transmission maximizing a scheme's pump-optimized SNR.
+
+    pump_max(trial_cavity, per_decade) returns (j_in, snr) at the best pump
+    rate for that cavity.  cavity supplies g_max and kappa_loss; its kappa_t
+    is ignored and searched over in log space, on a 31-per-decade pump grid,
+    and the optimum is re-evaluated on the full 61-per-decade grid.  Default
+    bounds span [kappa_loss/20, 5*kappa_loss]; explicit bounds are required
+    when kappa_loss = 0.  Results landing at a bound are flagged, not raised.
+    """
+    if bounds is None:
+        if cavity.kappa_loss <= 0:
+            raise NoMaximumInBounds("explicit bounds required when kappa_loss = 0")
+        bounds = (cavity.kappa_loss / 20.0, 5.0 * cavity.kappa_loss)
+    lo, hi = bounds
+    if not (0.0 < lo < hi):
+        raise NoMaximumInBounds(f"invalid kappa_t bounds [{lo}, {hi}]")
+
+    def objective(log_kt):
+        return pump_max(replace(cavity, kappa_t=math.exp(log_kt)), 31)[1]
+
+    log_kt, _ = golden_max(objective, math.log(lo), math.log(hi), rel_tol=rel_tol)
+    kt = math.exp(log_kt)
+    j_in, snr = pump_max(replace(cavity, kappa_t=kt), 61)
+    return KappaTOptimum(
+        kappa_t=kt,
+        snr=snr,
+        j_in=j_in,
+        at_lower_bound=kt <= lo * 1.05,
+        at_upper_bound=kt >= hi / 1.05,
+    )

@@ -13,10 +13,10 @@ authoritative between the regimes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .errors import NoMaximumInBounds, NotResonant
-from .optimize import golden_max, max_on_log_grid
+from .errors import NotResonant
+from .optimize import KappaTOptimum, max_on_log_grid, max_over_kappa_t
 from .params import AtomParams, CavityParams, DriveParams, cooperativity
 from .steady_state import StationaryState, empty_cavity_state, solve_stationary
 
@@ -54,15 +54,6 @@ class PumpOptimum:
     j_in: float
     snr: float
     report: ResonantReport
-
-
-@dataclass(frozen=True)
-class KappaTOptimum:
-    kappa_t: float
-    snr: float
-    j_in: float
-    at_lower_bound: bool
-    at_upper_bound: bool
 
 
 def classify_coupling(c: float) -> tuple[str, bool]:
@@ -198,34 +189,16 @@ def optimal_kappa_t(
 ) -> KappaTOptimum:
     """Mirror transmission maximizing the pump-optimized SNR.
 
-    cavity supplies g_max and kappa_loss; its kappa_t is ignored and
-    searched over instead.  Default bounds span [kappa_loss/20, 5*kappa_loss];
-    explicit bounds are required when kappa_loss = 0.  Results landing at a
-    bound are flagged, not raised.
+    cavity supplies g_max and kappa_loss; its kappa_t is searched over
+    (see optimize.max_over_kappa_t for the bounds and the bound flags).
     """
     check_resonant(atom, cavity)
-    if bounds is None:
-        if cavity.kappa_loss <= 0:
-            raise NoMaximumInBounds("explicit bounds required when kappa_loss = 0")
-        bounds = (cavity.kappa_loss / 20.0, 5.0 * cavity.kappa_loss)
-    lo, hi = bounds
-    if not (0.0 < lo < hi):
-        raise NoMaximumInBounds(f"invalid kappa_t bounds [{lo}, {hi}]")
 
-    def objective(log_kt):
-        trial = replace(cavity, kappa_t=math.exp(log_kt))
-        return max_snr_over_pump(atom, trial, drive.tau, per_decade=31).snr
+    def pump_max(trial, per_decade):
+        best = max_snr_over_pump(atom, trial, drive.tau, per_decade=per_decade)
+        return best.j_in, best.snr
 
-    log_kt, _ = golden_max(objective, math.log(lo), math.log(hi), rel_tol=rel_tol)
-    kt = math.exp(log_kt)
-    best = max_snr_over_pump(atom, replace(cavity, kappa_t=kt), drive.tau)
-    return KappaTOptimum(
-        kappa_t=kt,
-        snr=best.snr,
-        j_in=best.j_in,
-        at_lower_bound=kt <= lo * 1.05,
-        at_upper_bound=kt >= hi / 1.05,
-    )
+    return max_over_kappa_t(pump_max, cavity, bounds, rel_tol)
 
 
 def fluorescence_reference(collection_fraction: float) -> float:

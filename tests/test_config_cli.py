@@ -1,5 +1,6 @@
 """Config parsing, digests, and the command-line entry points."""
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,14 +8,21 @@ import pytest
 
 from cavdet import (
     ConfigError,
+    DriveParams,
     KHZ,
     MHZ,
     UM,
     US,
+    SaturationWarning,
     config_digest,
+    dispersive_saturation_pump,
+    homodyne_report,
     load_config,
     parse_config,
     run_ensemble,
+    saturation_pump,
+    snr_resonant,
+    spatial_averages,
 )
 from cavdet import cli
 from cavdet.cli import ScanSpec, _fmt, run
@@ -116,6 +124,10 @@ def test_scan_spec_grids():
         dict(lo=1.0, hi=10.0, points=1),
         dict(lo=10.0, hi=1.0, points=5),
         dict(lo=0.0, hi=1.0, points=5),  # log scan needs positive lo
+        dict(lo=1.0, hi=float("inf"), points=5),
+        dict(lo=float("nan"), hi=10.0, points=5),
+        dict(lo=1.0, hi=float("nan"), points=5),
+        dict(lo=float("-inf"), hi=1.0, points=5, log=False),
     ],
 )
 def test_scan_spec_validation(kwargs):
@@ -133,6 +145,14 @@ def test_cli_steady(tmp_path):
     assert payload["branch_count"] >= 1
     assert payload["n_photons"] < payload["n_photons_empty"]
     assert payload["config_sha256"] == load_config(MAIN).digest
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_steady_rejects_non_finite_g_frac(tmp_path, capsys, value):
+    out = tmp_path / "steady.json"
+    assert run(["steady", "--config", MAIN, "--out", str(out), f"--g-frac={value}"]) == 2
+    assert "--g-frac must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_steady_decoupled_equals_empty(tmp_path):
@@ -191,6 +211,115 @@ def test_cli_scan_pump_half_bounds_is_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-pump", "--config", MAIN, "--jmin-per-us", "1", "--jmax-per-us", "inf"],
+        ["scan-pump", "--config", MAIN, "--decades", "nan"],
+        ["scan-pump", "--config", MAIN, "--decades", "700"],  # 10**350 overflows
+        ["motion-averages", "--config", MAIN, "--jmin-per-us", "1", "--jmax-per-us", "inf"],
+    ],
+)
+def test_cli_non_finite_scan_bounds_are_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "scan.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv + ["--out", str(out)]) == 2
+    assert "scan bounds must be finite" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+# each pump scan's CSV layout, written out apart from cli._PUMP_SCANS: (config, report,
+# its fields, CSV header)
+PUMP_SCANS = {
+    "scan-pump": (
+        MAIN,
+        snr_resonant,
+        ["n_out_empty", "n_out_atom", "snr", "m_scattered", "saturation"],
+        [
+            "j_in [1/us]",
+            "N_out_empty [photons]",
+            "N_out_atom [photons]",
+            "S [dimensionless]",
+            "M [photons]",
+            "saturation [dimensionless]",
+        ],
+    ),
+    "homodyne-scan": (
+        NARROW,
+        homodyne_report,
+        ["phase_shift", "snr", "m_scattered", "n_out", "small_angle_valid"],
+        [
+            "j_in [1/us]",
+            "phase_shift [rad]",
+            "S_hom [dimensionless]",
+            "M [photons]",
+            "N_out [photons]",
+            "small_angle_valid [bool]",
+        ],
+    ),
+    "motion-averages": (
+        MAIN,
+        spatial_averages,
+        ["s_bar", "m_bar", "d_bar", "delta_p", "delta_z"],
+        [
+            "j_in [1/us]",
+            "S_bar [dimensionless]",
+            "M_bar [photons]",
+            "D_bar [kg^2 m^2/s^3]",
+            "delta_p [hbar k]",
+            "delta_z [m]",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, extra, bounds",
+    [
+        ("scan-pump", [], lambda cfg: (saturation_pump(cfg.atom, cfg.cavity), 100.0)),
+        ("scan-pump", ["--decades", "3"], lambda cfg: (saturation_pump(cfg.atom, cfg.cavity), 10**1.5)),
+        ("homodyne-scan", [], lambda cfg: (dispersive_saturation_pump(cfg.atom, cfg.cavity), 100.0)),
+        ("motion-averages", [], lambda cfg: (cfg.drive.j_in, 10.0)),
+        ("motion-averages", ["--jmin-per-us", "0.5", "--jmax-per-us", "40"], None),
+    ],
+)
+def test_cli_pump_scans_match_their_reports(tmp_path, capsys, command, extra, bounds):
+    config, report, fields, header = PUMP_SCANS[command]
+    out = tmp_path / "scan.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SaturationWarning)
+        assert run([command, "--config", config, "--out", str(out), "--points", "5", *extra]) == 0
+        cfg = load_config(config)
+        if bounds is None:
+            lo, hi = 0.5e6, 40e6
+        else:
+            center, half = bounds(cfg)
+            lo, hi = center / half, center * half
+        grid = ScanSpec("j_in", lo, hi, 5).grid()
+        reps = [report(cfg.atom, cfg.cavity, DriveParams(j_in=j, tau=cfg.drive.tau)) for j in grid]
+    lines = out.read_text().splitlines()
+    assert lines[:3] == [
+        "# version: 0.1.0",
+        f"# command: {command}",
+        f"# config_sha256: {cfg.digest}",
+    ]
+    assert lines[3] == ",".join(header)
+    expected = [
+        ",".join(_fmt(v) for v in (j / 1e6, *(getattr(rep, f) for f in fields)))
+        for j, rep in zip(grid, reps)
+    ]
+    assert lines[4:] == expected
+    if command == "motion-averages":
+        summary = "5 pump points"
+    else:
+        best = max(range(5), key=lambda i: reps[i].snr)
+        label = "S" if command == "scan-pump" else "S_hom"
+        summary = f"5 points, max {label}={reps[best].snr:.4g} at j_in={grid[best] / 1e6:.4g}/us"
+    assert capsys.readouterr().out == f"wrote {out}: {summary}\n"
+
+
 def test_cli_homodyne_scan(tmp_path):
     out = tmp_path / "hom.csv"
     assert run(
@@ -202,9 +331,11 @@ def test_cli_homodyne_scan(tmp_path):
 
 def test_cli_motion_averages(tmp_path):
     out = tmp_path / "mot.csv"
-    assert run(
-        ["motion-averages", "--config", MAIN, "--out", str(out), "--points", "11"]
-    ) == 0
+    # the top of the default grid (10x the config pump) saturates the main cavity
+    with pytest.warns(SaturationWarning):
+        assert run(
+            ["motion-averages", "--config", MAIN, "--out", str(out), "--points", "11"]
+        ) == 0
     data = [l for l in out.read_text().splitlines() if not l.startswith("# ")]
     assert len(data) == 12
 
@@ -242,6 +373,17 @@ def test_cli_simulate_thread_invariance(tmp_path):
     assert 0.0 <= report["efficiency"] <= 1.0
     assert report["dark_rate_ci_per_s"][0] <= report["dark_rate_per_s"]
     assert report["config"]["sim"]["n_atoms"] == 6
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--threads", "0"), ("--threads", "-7"), ("--decimate", "-4"), ("--decimate", "0")]
+)
+def test_cli_simulate_rejects_counts_below_one(tmp_path, capsys, flag, value):
+    out = tmp_path / "sim"
+    argv = ["simulate", "--config", TRANSIT, "--out", str(out), "--atoms", "2"]
+    assert run(argv + [f"{flag}={value}"]) == 2
+    assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_simulate_streamed_rows_match_per_value_format(tmp_path):

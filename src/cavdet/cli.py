@@ -12,6 +12,8 @@ import json
 import math
 import os
 import sys
+import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -193,15 +195,34 @@ _PUMP_SCANS = {
 }
 
 
+def _warn_once_per_class(caught, starts) -> None:
+    """Re-issue recorded warnings once per class: the first message and how many grid points raised it."""
+    first, points = {}, Counter()
+    for a, b in zip(starts, [*starts[1:], len(caught)]):
+        for w in caught[a:b]:
+            first.setdefault(w.category, w.message)
+        points.update({w.category for w in caught[a:b]})
+    for category, message in first.items():
+        warnings.warn(f"{message} ({points[category]} of {len(starts)} grid points)", category)
+
+
 def _cmd_pump_scan(args) -> int:
     scan = _PUMP_SCANS[args.command]
     cfg = load_config(args.config)
     spec = _pump_grid(args, scan.center(cfg))
     fields = [name for name, _ in scan.columns]
-    rows = []
-    for j in spec.grid():
-        rep = scan.report(cfg, DriveParams(j_in=j, tau=cfg.drive.tau))
-        rows.append((j / 1e6, *(getattr(rep, name) for name in fields)))
+    rows, starts = [], []  # starts[k]: how many warnings were recorded before grid point k
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for j in spec.grid():
+                starts.append(len(caught))
+                rep = scan.report(cfg, DriveParams(j_in=j, tau=cfg.drive.tau))
+                rows.append((j / 1e6, *(getattr(rep, name) for name in fields)))
+    finally:
+        # also when a grid point raises, so the earlier points' warnings
+        # are issued before the error
+        _warn_once_per_class(caught, starts)
     _write_csv(
         args.out,
         [("version", __version__), ("command", args.command), ("config_sha256", cfg.digest)],

@@ -20,11 +20,18 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotDispersive, SmallDetuningWarning
 from .optimize import KappaTOptimum, max_on_log_grid, max_over_kappa_t
 from .params import AtomParams, CavityParams, DriveParams, cooperativity
-from .resonant_detection import output_photons
-from .steady_state import empty_cavity_state, solve_stationary
+from .resonant_detection import _detected_photons, output_photons
+from .steady_state import (
+    _atom_response,
+    _stationary_pump_scan,
+    empty_cavity_state,
+    solve_stationary,
+)
 
 SMALL_ANGLE_MAX = 0.3  # |phi| beyond which the linearized forms degrade
 
@@ -41,12 +48,29 @@ class HomodyneReport:
     small_angle_valid: bool
 
 
+def check_dispersive(atom: AtomParams, cavity: CavityParams) -> None:
+    """The pump sits on the cavity line and the atom is detuned from it."""
+    tol = 1e-9 * atom.gamma
+    if abs(cavity.delta_c) > tol:
+        raise NotDispersive(f"requires delta_c = 0, got {cavity.delta_c:.3g} rad/s")
+    if abs(atom.delta_a) <= tol:
+        raise NotDispersive(
+            f"requires an atomic detuning delta_a != 0, got {atom.delta_a:.3g} rad/s; "
+            "the light shift and the phase vanish on resonance"
+        )
+
+
+def _phase_and_snr(light_shift, kappa, n_out):
+    """Phase phi = -U/kappa and S_hom = 2*sqrt(N_out)*|sin(phi)|, for floats or arrays."""
+    phi = -light_shift / kappa
+    return phi, 2.0 * np.sqrt(n_out) * abs(np.sin(phi))
+
+
 def homodyne_report(
     atom: AtomParams, cavity: CavityParams, drive: DriveParams, g_local: float | None = None
 ) -> HomodyneReport:
-    """Full nonlinear homodyne observables; pump must sit on the cavity line."""
-    if abs(cavity.delta_c) > 1e-9 * atom.gamma:
-        raise NotDispersive(f"requires delta_c = 0, got {cavity.delta_c:.3g} rad/s")
+    """Full nonlinear homodyne observables; pump on the cavity line, atom detuned."""
+    check_dispersive(atom, cavity)
     if abs(atom.delta_a) < 10.0 * atom.gamma:
         warnings.warn(
             "atomic detuning below 10*Gamma; absorption competes with the "
@@ -55,14 +79,13 @@ def homodyne_report(
             stacklevel=2,
         )
     state = solve_stationary(atom, cavity, drive, g_local=g_local)
-    phi = -state.light_shift / cavity.kappa
     n_out = output_photons(state, cavity, drive)
     n_out_empty = output_photons(empty_cavity_state(cavity, drive), cavity, drive)
-    snr = 2.0 * math.sqrt(n_out) * abs(math.sin(phi))
+    phi, snr = _phase_and_snr(state.light_shift, cavity.kappa, n_out)
     m = 2.0 * atom.gamma * drive.tau * state.rho11
     return HomodyneReport(
         phase_shift=phi,
-        snr=snr,
+        snr=float(snr),
         n_out=n_out,
         n_out_empty=n_out_empty,
         m_scattered=m,
@@ -118,6 +141,13 @@ def dispersive_saturation_pump(atom: AtomParams, cavity: CavityParams) -> float:
     return n_sat * cavity.kappa**2 / cavity.kappa_t
 
 
+def _snr_hom_over_pump(atom: AtomParams, cavity: CavityParams, j, tau: float):
+    """homodyne_report(...).snr at each pump rate of the array j, from one batched solve."""
+    n = _stationary_pump_scan(atom, cavity, j)
+    _, _, light_shift = _atom_response(n, cavity.g_max, atom)
+    return _phase_and_snr(light_shift, cavity.kappa, _detected_photons(n, cavity, tau))[1]
+
+
 def max_snr_hom_over_pump(
     atom: AtomParams,
     cavity: CavityParams,
@@ -127,6 +157,7 @@ def max_snr_hom_over_pump(
     polish: bool = True,
 ) -> tuple[float, float]:
     """Maximize S_hom over the pump rate; returns (j_in, snr)."""
+    check_dispersive(atom, cavity)
     j_sat = dispersive_saturation_pump(atom, cavity)
     lo = j_sat * 10.0 ** (-0.5 * n_decades)
     hi = j_sat * 10.0 ** (0.5 * n_decades)
@@ -136,7 +167,12 @@ def max_snr_hom_over_pump(
             warnings.simplefilter("ignore", SmallDetuningWarning)
             return homodyne_report(atom, cavity, DriveParams(j_in=j, tau=tau)).snr
 
-    return max_on_log_grid(objective, lo, hi, per_decade=per_decade, polish=polish)
+    def grid_objective(j):
+        return _snr_hom_over_pump(atom, cavity, j, tau)
+
+    return max_on_log_grid(
+        objective, lo, hi, per_decade=per_decade, polish=polish, f_grid=grid_objective
+    )
 
 
 def optimal_kappa_t_homodyne(
@@ -151,6 +187,7 @@ def optimal_kappa_t_homodyne(
     Same contract as the resonant optimizer: cavity supplies g_max and
     kappa_loss, kappa_t is searched, bound hits are flagged.
     """
+    check_dispersive(atom, cavity)
 
     def pump_max(trial, per_decade):
         return max_snr_hom_over_pump(atom, trial, drive.tau, per_decade=per_decade)

@@ -9,6 +9,7 @@ import numpy as np
 from .errors import NoMaximumInBounds
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID_RTOL = 1e-6  # grid points this close to a grid objective's maximum are rescored with f
 
 
 def golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6, max_iter: int = 200):
@@ -37,31 +38,46 @@ def golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6, max_iter: int = 2
     return x, fx
 
 
-def max_on_log_grid(f, lo: float, hi: float, per_decade: int = 61, polish: bool = True):
+def max_on_log_grid(
+    f, lo: float, hi: float, per_decade: int = 61, polish: bool = True, f_grid=None
+):
     """Grid-then-polish maximization of f over a log-spaced range.
 
     Scans a grid of per_decade points per decade, then golden-sections in
     log space within one grid step of the best point.  Robust against the
     mild multimodality that fold points introduce.  Returns (x, f(x)).
+
+    f_grid, if given, evaluates f over the whole grid array in one call;
+    by default f is mapped over the grid.  A grid objective only has to
+    agree with f to rounding: the best grid point is chosen by f's own
+    values among the points within _GRID_RTOL of the grid maximum, so the
+    result is that of the mapped f wherever f_grid is within _GRID_RTOL/2
+    of f, relative to the maximum.
     """
     if lo <= 0 or hi <= lo:
         raise NoMaximumInBounds(f"invalid log range [{lo}, {hi}]")
     decades = math.log10(hi / lo)
     n = max(2, int(round(per_decade * decades)) + 1)
     grid = np.logspace(math.log10(lo), math.log10(hi), n)
-    vals = np.array([f(x) for x in grid])
-    i = int(np.argmax(vals))
+    top = np.arange(n)
+    if f_grid is not None:
+        approx = f_grid(grid)
+        if np.all(np.isfinite(approx)):
+            top = np.flatnonzero(approx >= approx.max() - _GRID_RTOL * abs(approx.max()))
+    vals = np.array([f(x) for x in grid[top]])
+    k = int(np.argmax(vals))
+    i, f_i = int(top[k]), vals[k]
     if not polish:
-        return float(grid[i]), float(vals[i])
+        return float(grid[i]), float(f_i)
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, n - 1)]
     if b <= a:
-        return float(grid[i]), float(vals[i])
+        return float(grid[i]), float(f_i)
     x_log, fx = golden_max(lambda u: f(math.exp(u)), math.log(a), math.log(b), rel_tol=1e-10)
     x = math.exp(x_log)
-    if fx >= vals[i]:
+    if fx >= f_i:
         return x, fx
-    return float(grid[i]), float(vals[i])
+    return float(grid[i]), float(f_i)
 
 
 @dataclass(frozen=True)

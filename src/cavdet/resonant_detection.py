@@ -15,10 +15,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotResonant
 from .optimize import KappaTOptimum, max_on_log_grid, max_over_kappa_t
 from .params import AtomParams, CavityParams, DriveParams, cooperativity
-from .steady_state import StationaryState, empty_cavity_state, solve_stationary
+from .steady_state import (
+    StationaryState,
+    _empty_photons_over_pump,
+    _stationary_pump_scan,
+    empty_cavity_state,
+    solve_stationary,
+)
 
 # cooperativity bands for tagging which closed-form branch applies
 WEAK_COUPLING_MAX = 0.2
@@ -76,8 +84,23 @@ def check_resonant(atom: AtomParams, cavity: CavityParams) -> None:
 
 def output_photons(state: StationaryState, cavity: CavityParams, drive: DriveParams) -> float:
     """Detected photons N*kappa_t*tau, doubled for an asymmetric input mirror."""
-    n_out = state.n_photons * cavity.kappa_t * drive.tau
+    return _detected_photons(state.n_photons, cavity, drive.tau)
+
+
+def _detected_photons(n, cavity: CavityParams, tau: float):
+    """output_photons for a photon number n, a float or an array."""
+    n_out = n * cavity.kappa_t * tau
     return 2.0 * n_out if cavity.asymmetric_input else n_out
+
+
+def _intensity_snr(n_out_empty, n_out_atom):
+    """S = (N_out,0 - N_out)/sqrt(N_out), and 0 where no photon is detected.
+
+    Takes floats or arrays; the masks multiply by one and add zero on every
+    lit element, so its arithmetic is that of the plain quotient.
+    """
+    lit = n_out_atom > 0
+    return (n_out_empty - n_out_atom) * lit / np.sqrt(n_out_atom + (n_out_atom <= 0))
 
 
 def intensity_report(
@@ -89,7 +112,7 @@ def intensity_report(
     state = solve_stationary(atom, cavity, drive, g_local=g)
     n_out_empty = output_photons(empty, cavity, drive)
     n_out_atom = output_photons(state, cavity, drive)
-    snr = (n_out_empty - n_out_atom) / math.sqrt(n_out_atom) if n_out_atom > 0 else 0.0
+    snr = float(_intensity_snr(n_out_empty, n_out_atom))
     m = 2.0 * atom.gamma * drive.tau * state.rho11
     saturation = 2.0 * g * g * state.n_photons / atom.gamma**2
     return ResonantReport(
@@ -154,6 +177,13 @@ def saturation_pump(atom: AtomParams, cavity: CavityParams) -> float:
     return atom.gamma**2 * cavity.kappa**2 / (2.0 * cavity.g_max**2 * cavity.kappa_t)
 
 
+def _snr_over_pump(atom: AtomParams, cavity: CavityParams, j, tau: float):
+    """intensity_report(...).snr at each pump rate of the array j, from one batched solve."""
+    n_out_empty = _detected_photons(_empty_photons_over_pump(cavity, j), cavity, tau)
+    n_out_atom = _detected_photons(_stationary_pump_scan(atom, cavity, j), cavity, tau)
+    return _intensity_snr(n_out_empty, n_out_atom)
+
+
 def max_snr_over_pump(
     atom: AtomParams,
     cavity: CavityParams,
@@ -175,7 +205,12 @@ def max_snr_over_pump(
     def objective(j):
         return intensity_report(atom, cavity, DriveParams(j_in=j, tau=tau)).snr
 
-    j_opt, _ = max_on_log_grid(objective, lo, hi, per_decade=per_decade, polish=polish)
+    def grid_objective(j):
+        return _snr_over_pump(atom, cavity, j, tau)
+
+    j_opt, _ = max_on_log_grid(
+        objective, lo, hi, per_decade=per_decade, polish=polish, f_grid=grid_objective
+    )
     report = intensity_report(atom, cavity, DriveParams(j_in=j_opt, tau=tau))
     return PumpOptimum(j_in=j_opt, snr=report.snr, report=report)
 

@@ -33,6 +33,9 @@ from .errors import IllConditionedRootsWarning, NoPhysicalRoot, StepTooLarge
 from .params import AtomParams, CavityParams, DriveParams, pump_amplitude
 
 _MERGE_RTOL = 1e-9  # roots closer than this (relative) are reported as one
+# a cubic root below this fraction of the shift -a/3 has lost most of its
+# digits to cancellation and is recomputed from the product of the roots
+_CANCEL_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,14 @@ def _depressed_real_roots(a, b, c):
         t1 = float(np.cbrt(big))
         if t1 != 0.0:
             t1 = t1 - p / (3.0 * t1)
-        return [t1 * scale + shift]
+        r = t1 * scale + shift
+        if abs(r) < _CANCEL_RTOL * abs(shift):
+            # r was lost to cancellation against the shift; take it from
+            # the deflated quadratic t^2 + (a + r)*t + q1 instead, r = -c/q1
+            q1 = b + r * (a + r)
+            if q1 != 0.0:
+                r = -c / q1
+        return [r]
     if disc == 0.0:
         if p == 0.0:
             return [shift]
@@ -152,6 +162,10 @@ def _depressed_real_roots(a, b, c):
     cos_phi = 3.0 * q / (p * m)
     phi = math.acos(min(1.0, max(-1.0, cos_phi)))
     roots = [m * math.cos((phi - 2.0 * math.pi * k) / 3.0) * scale + shift for k in range(3)]
+    roots.sort(key=abs)
+    if abs(roots[0]) < _CANCEL_RTOL * abs(shift) and roots[1] * roots[2] != 0.0:
+        # likewise, from r0*r1*r2 = -c
+        roots[0] = -c / (roots[1] * roots[2])
     return sorted(roots)
 
 
@@ -188,9 +202,20 @@ def _roots_scaled(g2, e2, kap, da, dc):
     return roots
 
 
+def _take(x, mask):
+    """x[mask] for an array of mask's shape; a scalar x as it is."""
+    return x[mask] if isinstance(x, np.ndarray) else x
+
+
 def _lower_branch_scaled(g2, e2, kap, da, dc):
-    """Vectorized smallest non-negative root for an array of couplings g2."""
+    """Vectorized smallest non-negative root over arrays of couplings g2 and pumps e2.
+
+    g2 and e2 broadcast against each other; a scalar e2 is used as it is,
+    so a scan over couplings pays nothing for the pump axis.
+    """
     g2 = np.asarray(g2, dtype=float)
+    if isinstance(e2, np.ndarray):
+        g2, e2 = np.broadcast_arrays(g2, e2)
     n = np.empty_like(g2)
     d0 = da * da + 1.0
     # same linear-regime split as the scalar path (also covers g2 == 0)
@@ -198,10 +223,10 @@ def _lower_branch_scaled(g2, e2, kap, da, dc):
     if np.any(lin):
         gam0 = g2[lin] / d0
         u0 = g2[lin] * da / d0
-        n[lin] = e2 / ((kap + gam0) ** 2 + (dc - u0) ** 2)
+        n[lin] = _take(e2, lin) / ((kap + gam0) ** 2 + (dc - u0) ** 2)
     if not np.all(lin):
         g2a = g2[~lin]
-        c3, c2, c1, c0 = _cubic_coeffs(g2a, e2, kap, da, dc)
+        c3, c2, c1, c0 = _cubic_coeffs(g2a, _take(e2, ~lin), kap, da, dc)
         a = c2 / c3
         b = c1 / c3
         c = c0 / c3
@@ -250,9 +275,14 @@ def _lower_branch_checked(g2, e2, kap, da, dc):
     """
     n = _lower_branch_scaled(g2, e2, kap, da, dc)
     f, _ = _residual_scaled(n, g2, e2, kap, da, dc)
-    if not np.all(np.abs(f) <= _ROOT_RTOL * e2):
+    if np.any(_unconverged(f, e2)):
         raise NoPhysicalRoot("batched lower-branch solve returned a photon number that is not a root")
     return n
+
+
+def _unconverged(f, e2):
+    """True where a residual f fails the root test |f| <= _ROOT_RTOL * e2."""
+    return ~(np.abs(f) <= _ROOT_RTOL * e2)
 
 
 def _may_be_bistable(g2, e2, kap, da, dc):
@@ -263,12 +293,12 @@ def _may_be_bistable(g2, e2, kap, da, dc):
     _cubic_coeffs factor as c2 = 4*g2*(a + g2*(b - e2)) and
     c1 = d0*(g2*(g2 + 2*(b - 2*e2)) + a), with a = d0*(kap^2 + dc^2) and
     b = kap - dc*da; these forms do not underflow at tiny g2.  At g2 = 0
-    or e2 = 0 the root is unique.
+    or e2 = 0 the root is unique.  g2 and e2 broadcast against each other.
     """
     d0 = da * da + 1.0
     a = d0 * (kap * kap + dc * dc)
     b = kap - dc * da
-    if b >= e2:  # then c2 > 0 for every g2 >= 0
+    if not isinstance(e2, np.ndarray) and b >= e2:  # then c2 > 0 for every g2 >= 0
         return np.zeros(np.shape(g2), dtype=bool)
     return (a + g2 * (b - e2) < 0.0) & (g2 * (g2 + 2.0 * (b - 2.0 * e2)) + a > 0.0)
 
@@ -284,7 +314,6 @@ def _lower_branch_from(n_start, g2, e2, kap, da, dc):
     _lower_branch_checked.
     """
     n = n_start
-    tol = _ROOT_RTOL * e2
     d0 = da * da + 1.0
     two_g2 = 2.0 * g2
     for it in range(_TRACK_ITERS + 1):
@@ -296,7 +325,7 @@ def _lower_branch_from(n_start, g2, e2, kap, da, dc):
         dd = dc - da * gam
         s = ka * ka + dd * dd
         f = n * s - e2
-        todo = ~(np.abs(f) <= tol)
+        todo = _unconverged(f, e2)
         if it == _TRACK_ITERS or not np.count_nonzero(todo):
             break
         fp = s - 2.0 * t * gam * (ka - da * dd) / d
@@ -307,6 +336,25 @@ def _lower_branch_from(n_start, g2, e2, kap, da, dc):
     if np.count_nonzero(redo):
         n = n.copy()
         n[redo] = _lower_branch_checked(g2[redo], e2, kap, da, dc)
+    return n
+
+
+def _lower_branch_verified(g2, e2, kap, da, dc):
+    """Lower-branch photon numbers over broadcast arrays of couplings g2 and pumps e2.
+
+    A root of _lower_branch_scaled is kept where it passes the recoil
+    stepper's guard: |f| <= _ROOT_RTOL * e2 and not _may_be_bistable, so
+    it is the cubic's only positive root.  Every other element is the
+    scalar solver's lower branch, _roots_scaled(...)[0], which raises
+    NoPhysicalRoot where it finds no root.
+    """
+    n = _lower_branch_scaled(g2, e2, kap, da, dc)
+    f, _ = _residual_scaled(n, g2, e2, kap, da, dc)
+    redo = np.flatnonzero(_unconverged(f, e2) | _may_be_bistable(g2, e2, kap, da, dc))
+    if redo.size:
+        g2b, e2b = np.broadcast_arrays(g2, e2)
+        for i in redo:
+            n.flat[i] = _roots_scaled(g2b.flat[i], e2b.flat[i], kap, da, dc)[0]
     return n
 
 
@@ -327,11 +375,18 @@ def stationary_photon_numbers(
     return tuple(roots)
 
 
+def _atom_response(n, g, atom: AtomParams):
+    """Saturation denominator D, damping gamma(N) and light shift U(N) at photon number N.
+
+    D = delta_a^2 + Gamma^2 + 2*g^2*N; n may be a float or an array.
+    """
+    d = atom.delta_a**2 + atom.gamma**2 + 2.0 * g * g * n
+    return d, g * g * atom.gamma / d, g * g * atom.delta_a / d
+
+
 def _state_from_n(n, g, atom, cavity, drive, branch_count, all_roots):
     gam = atom.gamma
-    d = atom.delta_a**2 + gam**2 + 2.0 * g * g * n
-    gamma_eff = g * g * gam / d
-    light_shift = g * g * atom.delta_a / d
+    d, gamma_eff, light_shift = _atom_response(n, g, atom)
     eta = pump_amplitude(drive, cavity)
     denom = (cavity.kappa + gamma_eff) - 1j * (cavity.delta_c - light_shift)
     alpha = eta / denom
@@ -362,11 +417,15 @@ def solve_stationary(
     return _state_from_n(roots[0], g, atom, cavity, drive, len(roots), roots)
 
 
+def _empty_field(eta: float, cavity: CavityParams) -> tuple[complex, float]:
+    """Empty-cavity amplitude alpha = eta/(kappa - i*delta_c) and its photon number |alpha|^2."""
+    alpha = eta / (cavity.kappa - 1j * cavity.delta_c)
+    return alpha, abs(alpha) ** 2
+
+
 def empty_cavity_state(cavity: CavityParams, drive: DriveParams) -> StationaryState:
     """Closed-form stationary state with no atom: alpha = eta/(kappa - i*delta_c)."""
-    eta = pump_amplitude(drive, cavity)
-    alpha = eta / (cavity.kappa - 1j * cavity.delta_c)
-    n = abs(alpha) ** 2
+    alpha, n = _empty_field(pump_amplitude(drive, cavity), cavity)
     return StationaryState(
         alpha=complex(alpha),
         n_photons=float(n),
@@ -376,6 +435,33 @@ def empty_cavity_state(cavity: CavityParams, drive: DriveParams) -> StationarySt
         light_shift=0.0,
         branch_count=1,
         all_roots=(float(n),),
+    )
+
+
+def _empty_photons_over_pump(cavity: CavityParams, j_values: np.ndarray) -> np.ndarray:
+    """empty_cavity_state(...).n_photons at each pump rate.
+
+    Element by element in Python's complex arithmetic, as the scalar state
+    does it: numpy's complex quotient and square round differently.
+    """
+    eta = np.sqrt(np.asarray(j_values, dtype=float) * cavity.kappa_t)
+    return np.array([_empty_field(e, cavity)[1] for e in eta.tolist()])
+
+
+def _stationary_pump_scan(
+    atom: AtomParams, cavity: CavityParams, j_values: np.ndarray
+) -> np.ndarray:
+    """Lower-branch photon number at g_max for an array of pump rates (vectorized).
+
+    Each element is a root that passes |f| <= 1e-12*eta^2 where the
+    stationary cubic has a single positive root, and otherwise the
+    photon number of solve_stationary at that pump rate.
+    """
+    gam = atom.gamma
+    eta2 = np.asarray(j_values, dtype=float) * cavity.kappa_t
+    g2 = (cavity.g_max / gam) ** 2
+    return _lower_branch_verified(
+        g2, eta2 / gam**2, cavity.kappa / gam, atom.delta_a / gam, cavity.delta_c / gam
     )
 
 

@@ -1,5 +1,6 @@
 """Config parsing, digests, and the command-line entry points."""
 import json
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +15,7 @@ from cavdet import (
     UM,
     US,
     SaturationWarning,
+    SmallDetuningWarning,
     config_digest,
     dispersive_saturation_pump,
     homodyne_report,
@@ -27,7 +29,7 @@ from cavdet import (
 from cavdet import cli
 from cavdet.cli import ScanSpec, _fmt, run
 from cavdet.config import DEFAULTS
-from cavdet.errors import StepTooLarge
+from cavdet.errors import NoPhysicalRoot, StepTooLarge
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MAIN = str(CONFIG_DIR / "main_cavity.json")
@@ -185,6 +187,70 @@ def test_cli_scan_pump_rejects_detuned_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("model/domain error: ")
     assert "numerical failure" not in err
+
+
+def test_cli_homodyne_scan_rejects_resonant_atom(tmp_path, capsys):
+    # delta_a = 0 in the main config: no phase to read out
+    out = tmp_path / "hom.csv"
+    assert run(["homodyne-scan", "--config", MAIN, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("model/domain error: requires an atomic detuning")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, points, category, hits",
+    [
+        ("motion-averages", TRANSIT, 41, SaturationWarning, 23),
+        ("homodyne-scan", {"atom": {"delta_a_over_gamma": 5.0}}, 20, SmallDetuningWarning, 20),
+    ],
+)
+def test_cli_scan_warns_once_per_class(tmp_path, capsys, command, config, points, category, hits):
+    if isinstance(config, dict):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        config = str(path)
+    out = tmp_path / "scan.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([command, "--config", config, "--out", str(out), "--points", str(points)]) == 0
+    assert [w.category for w in caught] == [category]
+    assert str(caught[0].message).endswith(f" ({hits} of {points} grid points)")
+    # the rows and the summary line are those of the reports themselves
+    assert len(out.read_text().splitlines()) == 4 + points
+    assert capsys.readouterr().out.startswith(f"wrote {out}: ")
+
+
+def test_cli_scan_failing_partway_warns_before_the_error(tmp_path, capsys, monkeypatch):
+    # the third grid point raises: the warnings of the first two are still
+    # issued, once per class, before the error message
+    calls = []
+
+    def report(cfg, drive):
+        calls.append(drive.j_in)
+        if len(calls) == 3:
+            raise NoPhysicalRoot("no root at the third grid point")
+        warnings.warn("saturated", SaturationWarning)
+        return spatial_averages(cfg.atom, cfg.cavity, drive)
+
+    scan = cli._PUMP_SCANS["motion-averages"]
+    monkeypatch.setitem(cli._PUMP_SCANS, "motion-averages", replace(scan, report=report))
+    monkeypatch.setattr(
+        warnings,
+        "showwarning",
+        lambda message, category, *a, **k: print(f"{category.__name__}: {message}", file=sys.stderr),
+    )
+    out = tmp_path / "mot.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        code = run(["motion-averages", "--config", MAIN, "--out", str(out), "--points", "5"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "SaturationWarning: saturated (2 of 3 grid points)",
+        "numerical failure: no root at the third grid point",
+    ]
+    assert not out.exists()
 
 
 def test_cli_non_finite_config_value_is_exit_2(tmp_path, capsys):

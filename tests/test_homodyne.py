@@ -50,6 +50,27 @@ def test_requires_resonant_pump(atom200, narrow_cavity):
     )
     with pytest.raises(NotDispersive):
         homodyne_report(atom200, detuned, DriveParams(50e6, TAU))
+    with pytest.raises(NotDispersive, match="delta_c"):
+        max_snr_hom_over_pump(atom200, detuned, TAU)
+    with pytest.raises(NotDispersive, match="delta_c"):
+        optimal_kappa_t_homodyne(atom200, detuned, DriveParams(50e6, TAU))
+
+
+@pytest.mark.parametrize("delta_a_gamma", [0.0, 1e-9, -1e-10])
+def test_requires_detuned_atom(narrow_cavity, delta_a_gamma):
+    # on atomic resonance the light shift, the phase and S_hom vanish
+    atom = AtomParams(delta_a=delta_a_gamma * GAMMA)
+    with pytest.raises(NotDispersive, match="delta_a"):
+        homodyne_report(atom, narrow_cavity, DriveParams(50e6, TAU))
+    with pytest.raises(NotDispersive, match="delta_a"):
+        max_snr_hom_over_pump(atom, narrow_cavity, TAU)
+    with pytest.raises(NotDispersive, match="delta_a"):
+        optimal_kappa_t_homodyne(atom, narrow_cavity, DriveParams(50e6, TAU))
+    # just outside the tolerance the report runs, with its small-detuning warning
+    with pytest.warns(SmallDetuningWarning):
+        atom = AtomParams(delta_a=2e-9 * GAMMA)
+        rep = homodyne_report(atom, narrow_cavity, DriveParams(50e6, TAU))
+    assert 0.0 < rep.snr < 1e-6
 
 
 def test_small_detuning_warns(narrow_cavity):

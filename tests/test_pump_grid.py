@@ -1,0 +1,224 @@
+"""Batched pump grids: the verified grid solve and the grid objectives of both SNR optimizers.
+
+Each pump maximizer evaluates its grid with one batched solve
+(_stationary_pump_scan) and keeps the golden-section polish and the final
+report on the scalar path.  The references here are the scalar reports,
+and the same maximizers with the scalar objective mapped over the grid.
+"""
+import warnings
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from cavdet import (
+    MHZ,
+    US,
+    AtomParams,
+    CavityParams,
+    DriveParams,
+    dispersive_saturation_pump,
+    homodyne_report,
+    intensity_report,
+    max_snr_hom_over_pump,
+    max_snr_over_pump,
+    optimal_kappa_t,
+    optimal_kappa_t_homodyne,
+    saturation_pump,
+    solve_stationary,
+)
+from cavdet import homodyne_detection, optimize, resonant_detection, steady_state
+from cavdet.resonant_detection import _detected_photons
+from cavdet.steady_state import _stationary_pump_scan
+
+TAU = 10 * US
+GAMMA = AtomParams().gamma
+
+
+def _scalar_snr(atom, cavity, j):
+    report = homodyne_report if atom.delta_a else intensity_report
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return np.array([report(atom, cavity, DriveParams(j_in=x, tau=TAU)).snr for x in j])
+
+
+def _grid_snr(atom, cavity, j):
+    if atom.delta_a:
+        return homodyne_detection._snr_hom_over_pump(atom, cavity, j, TAU)
+    return resonant_detection._snr_over_pump(atom, cavity, j, TAU)
+
+
+def _draws(seed, count):
+    """Seeded resonant and dispersive cavities with pumps 2 decades either side of saturation.
+
+    Couplings up to 300 MHz against rates down to 0.1 MHz reach C >> 1,
+    where the upper half of the grid is bistable.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        dispersive = k % 2 == 1
+        delta_a = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(0.5, 3) * GAMMA if dispersive else 0.0
+        atom = AtomParams(delta_a=delta_a)
+        kt, kl = 10 ** rng.uniform(-1, 2, 2) * MHZ
+        cavity = CavityParams(g_max=10 ** rng.uniform(-0.5, 2.5) * MHZ, kappa_t=kt, kappa_loss=kl)
+        centre = dispersive_saturation_pump if dispersive else saturation_pump
+        yield atom, cavity, centre(atom, cavity) * np.logspace(-2, 2, 61)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Pumps e2 (Gamma-scaled) that the grid solve sent to the scalar solver."""
+    seen = []
+    scalar = steady_state._roots_scaled
+
+    def spy(g2, e2, kap, da, dc):
+        seen.append(float(e2))
+        return scalar(g2, e2, kap, da, dc)
+
+    monkeypatch.setattr(steady_state, "_roots_scaled", spy)
+    return seen
+
+
+def test_grid_snr_matches_scalar_reports(fallbacks):
+    sent = bistable = 0
+    for atom, cavity, j in _draws(seed=21, count=120):
+        fallbacks.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            grid = _grid_snr(atom, cavity, j)
+            n = _stationary_pump_scan(atom, cavity, j)
+        fell_back = set(fallbacks)
+        ref = _scalar_snr(atom, cavity, j)
+        n_ref = np.array([solve_stationary(atom, cavity, DriveParams(x, TAU)).n_photons for x in j])
+        e2 = j * cavity.kappa_t / atom.gamma**2
+        back = np.array([x in fell_back for x in e2.tolist()])
+        # the scalar solver's own lower branch, to the last bit
+        assert np.array_equal(grid[back], ref[back])
+        assert np.array_equal(n[back], n_ref[back])
+        np.testing.assert_allclose(n, n_ref, rtol=1e-12, atol=0)
+        if atom.delta_a:
+            scale = np.abs(ref)
+        else:
+            # S is a difference of two photon counts over sqrt(N_out): bound
+            # its rounding by the size of the terms, not of the difference,
+            # which cancels at weak coupling
+            n_out_atom = _detected_photons(n_ref, cavity, TAU)
+            n_empty = steady_state._empty_photons_over_pump(cavity, j)
+            n_out_empty = _detected_photons(n_empty, cavity, TAU)
+            scale = (n_out_empty + n_out_atom) / np.sqrt(n_out_atom)
+        assert np.all(np.abs(grid - ref) <= 1e-12 * scale)
+        sent += int(back.sum())
+        gam = atom.gamma
+        g2, kap, da = (cavity.g_max / gam) ** 2, cavity.kappa / gam, atom.delta_a / gam
+        screen = steady_state._may_be_bistable(g2, e2, kap, da, 0.0)
+        bistable += int(screen.sum())
+    # the draws reach the bistable corner, whose pumps all fall back
+    assert 0 < bistable <= sent
+
+
+def test_grid_roots_pass_the_residual_test_or_are_the_scalar_branch(fallbacks):
+    for atom, cavity, j in _draws(seed=22, count=40):
+        fallbacks.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            n = _stationary_pump_scan(atom, cavity, j)
+        gam = atom.gamma
+        g2, e2 = (cavity.g_max / gam) ** 2, j * cavity.kappa_t / gam**2
+        kap, da = cavity.kappa / gam, atom.delta_a / gam
+        f, _ = steady_state._residual_scaled(n, g2, e2, kap, da, 0.0)
+        kept = ~np.isin(e2, fallbacks)
+        assert np.all(np.abs(f[kept]) <= 1e-12 * e2[kept])
+        assert not np.any(steady_state._may_be_bistable(g2, e2, kap, da, 0.0)[kept])
+
+
+def test_grid_never_returns_a_bad_batched_root(monkeypatch, narrow_cavity):
+    batched = steady_state._lower_branch_scaled
+    monkeypatch.setattr(steady_state, "_lower_branch_scaled", lambda *a: 1.5 * batched(*a))
+    schemes = (
+        (AtomParams(), saturation_pump),
+        (AtomParams(delta_a=200 * GAMMA), dispersive_saturation_pump),
+    )
+    for a, centre in schemes:
+        j = centre(a, narrow_cavity) * np.logspace(-2, 2, 41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            n = _stationary_pump_scan(a, narrow_cavity, j)
+        n_ref = [solve_stationary(a, narrow_cavity, DriveParams(x, TAU)).n_photons for x in j]
+        assert n.tolist() == n_ref
+        assert _grid_snr(a, narrow_cavity, j).tolist() == _scalar_snr(a, narrow_cavity, j).tolist()
+
+
+# --- the optimizers against their scalar-mapped selves -----------------------
+
+# the design-study cavities of perfbench/workloads.py (SWEEP_*)
+SWEEP = [
+    CavityParams(g_max=g * MHZ, kappa_t=kl * MHZ, kappa_loss=kl * MHZ)
+    for g in (4.0, 30.0)
+    for kl in (0.59, 6.0)
+]
+SWEEP_DRIVE = DriveParams(j_in=2e6, tau=TAU)
+ATOM_RESONANT = AtomParams()
+ATOM_DISPERSIVE = AtomParams(delta_a=200 * 3 * MHZ)
+
+
+@pytest.fixture
+def mapped(monkeypatch):
+    """Calls fn with max_on_log_grid mapping the scalar objective over each grid."""
+
+    def scalar_grid(f, lo, hi, per_decade=61, polish=True, f_grid=None):
+        return optimize.max_on_log_grid(f, lo, hi, per_decade=per_decade, polish=polish)
+
+    def call(fn, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(resonant_detection, "max_on_log_grid", scalar_grid)
+            m.setattr(homodyne_detection, "max_on_log_grid", scalar_grid)
+            return fn(*args, **kwargs)
+
+    return call
+
+
+@pytest.mark.parametrize("cavity", SWEEP, ids=[f"sweep{i}" for i in range(len(SWEEP))])
+def test_kappa_t_optima_equal_the_scalar_mapped_search(mapped, cavity):
+    assert optimal_kappa_t(ATOM_RESONANT, cavity, SWEEP_DRIVE) == mapped(
+        optimal_kappa_t, ATOM_RESONANT, cavity, SWEEP_DRIVE
+    )
+    assert optimal_kappa_t_homodyne(ATOM_DISPERSIVE, cavity, SWEEP_DRIVE) == mapped(
+        optimal_kappa_t_homodyne, ATOM_DISPERSIVE, cavity, SWEEP_DRIVE
+    )
+
+
+FIXTURES = ["main_cavity", "narrow_cavity", "high_loss_cavity", "transit_cavity"]
+
+
+@pytest.mark.parametrize("name", [*FIXTURES, *range(len(SWEEP))])
+def test_pump_maximizers_equal_the_scalar_mapped_search(mapped, request, name):
+    cavity = SWEEP[name] if isinstance(name, int) else request.getfixturevalue(name)
+    schemes = ((ATOM_RESONANT, max_snr_over_pump), (ATOM_DISPERSIVE, max_snr_hom_over_pump))
+    for atom, maximize in schemes:
+        for kw in ({}, {"n_decades": 3.0, "per_decade": 31}, {"polish": False}):
+            assert maximize(atom, cavity, TAU, **kw) == mapped(maximize, atom, cavity, TAU, **kw)
+    # an asymmetric input mirror doubles both detected counts
+    asym = replace(cavity, asymmetric_input=True)
+    expected = mapped(max_snr_over_pump, ATOM_RESONANT, asym, TAU)
+    assert max_snr_over_pump(ATOM_RESONANT, asym, TAU) == expected
+
+
+def test_max_on_log_grid_reports_f_at_the_grid_point():
+    # a grid objective that only agrees with f to rounding still returns f's value
+    f = lambda x: 5.0 - (np.log10(x) - 1.3) ** 2
+    grid_f = lambda xs: f(xs) + 1e-14
+    for polish in (True, False):
+        expected = optimize.max_on_log_grid(f, 1.0, 1e3, 11, polish)
+        assert optimize.max_on_log_grid(f, 1.0, 1e3, 11, polish, f_grid=grid_f) == expected
+
+
+def test_max_on_log_grid_breaks_near_ties_with_f():
+    # on a flat grid a grid objective off by rounding can move the argmax;
+    # the best point is still the one the mapped f picks, and so the bracket
+    rng = np.random.default_rng(5)
+    f = lambda x: 1.0 + 1e-13 * np.sin(40.0 * np.log(x))
+    grid_f = lambda xs: f(xs) + 1e-12 * rng.uniform(-1.0, 1.0, xs.shape)
+    for polish in (True, False):
+        expected = optimize.max_on_log_grid(f, 1.0, 1e3, 11, polish)
+        for _ in range(20):
+            assert optimize.max_on_log_grid(f, 1.0, 1e3, 11, polish, f_grid=grid_f) == expected

@@ -319,6 +319,27 @@ def test_population_and_coherence_bounds(g, kt, kl, da, dc, j):
     )
 
 
+@pytest.mark.parametrize(
+    "g,kt,da,dc",
+    [
+        (0.125, 0.125, 229.37389034384915, 229.37389034384915),  # one real root
+        (0.109375, 0.1, 228.5, 229.5),  # three real roots
+        (0.1, 0.1, 280.0, 280.0),
+        (0.1, 0.1015625, 252.375, 252.482421875),
+    ],
+)
+def test_tiny_root_beside_large_roots(g, kt, da, dc):
+    # far-detuned weak pump: the physical root (~1e-10 photons) is many
+    # orders below the cubic's other roots and must survive the shift
+    atom = AtomParams(delta_a=da * MHZ)
+    cavity = CavityParams(g_max=g * MHZ, kappa_t=kt * MHZ, kappa_loss=0.0, delta_c=dc * MHZ)
+    drive = DriveParams(j_in=1000.0, tau=1e-5)
+    n = solve_stationary(atom, cavity, drive).n_photons
+    eta2 = drive.j_in * cavity.kappa_t
+    assert 0.0 < n
+    assert abs(residual(n, atom, cavity, drive, cavity.g_max)) <= 1e-12 * eta2
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     g=st.floats(min_value=0.1, max_value=11.0),
@@ -360,4 +381,32 @@ def test_bistability_screen_matches_cubic_coefficient_signs():
         flagged += int(screen.sum())
         compared += int(clear.sum())
     assert compared > 0.99 * 400 * g2.size
+    assert 0.01 * compared < flagged < 0.99 * compared
+
+    # an array of pumps against one coupling and against an array of
+    # couplings: the same signs, and the answer of one scalar-pump call per
+    # element (which may take the b >= e2 shortcut)
+    rng = np.random.default_rng(12)
+    e2 = 10.0 ** np.linspace(-3.0, 5.0, 81)
+    flagged = compared = 0
+    for _ in range(400):
+        g2 = 10.0 ** rng.uniform(-6, 4)
+        kap = 10.0 ** rng.uniform(-2, 2)
+        da, dc = rng.uniform(-50, 50, 2)
+        _, c2, c1, _ = _cubic_coeffs(g2, e2, kap, da, dc)
+        d0, b = da * da + 1.0, 2.0 * g2
+        a1, a2 = kap * d0 + g2, dc * d0 - g2 * da
+        clear = (np.abs(c2) > 1e-9 * (2.0 * (np.abs(a1 * kap * b) + np.abs(a2 * dc * b)) + e2 * b * b)) & (
+            np.abs(c1) > 1e-9 * (a1 * a1 + a2 * a2 + 2.0 * e2 * d0 * b)
+        )
+        screen = _may_be_bistable(g2, e2, kap, da, dc)
+        assert np.array_equal(screen[clear], ((c2 < 0.0) & (c1 > 0.0))[clear])
+        assert screen.tolist() == [bool(_may_be_bistable(g2, x, kap, da, dc)) for x in e2.tolist()]
+        g2s = 10.0 ** rng.uniform(-6, 4, e2.size)
+        both = _may_be_bistable(g2s, e2, kap, da, dc)
+        one_by_one = [bool(_may_be_bistable(g, x, kap, da, dc)) for g, x in zip(g2s, e2.tolist())]
+        assert both.tolist() == one_by_one
+        flagged += int(screen.sum())
+        compared += int(clear.sum())
+    assert compared > 0.99 * 400 * e2.size
     assert 0.01 * compared < flagged < 0.99 * compared

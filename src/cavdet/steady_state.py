@@ -107,7 +107,7 @@ def _residual_scaled(n, g2, e2, kap, da, dc):
 
 
 def _newton_polish(n, g2, e2, kap, da, dc, iters=60):
-    """Newton refinement of one root; best effort toward 1e-12 relative residual."""
+    """Newton refinement of one root toward 1e-12 relative residual; _roots_scaled checks it."""
     scale = max(e2, 1e-300)
     for _ in range(iters):
         f, fp = _residual_scaled(n, g2, e2, kap, da, dc)
@@ -155,9 +155,12 @@ def _depressed_real_roots(a, b, c):
     if disc == 0.0:
         if p == 0.0:
             return [shift]
-        t_single = 3.0 * q / p
-        t_double = -1.5 * q / p
-        return sorted({t_single * scale + shift, t_double * scale + shift})
+        single = 3.0 * q / p * scale + shift
+        double = -1.5 * q / p * scale + shift
+        if abs(single) < _CANCEL_RTOL * abs(shift) and double != 0.0:
+            # likewise, from single*double^2 = -c
+            single = -c / (double * double)
+        return sorted({single, double})
     m = 2.0 * math.sqrt(-p / 3.0)
     cos_phi = 3.0 * q / (p * m)
     phi = math.acos(min(1.0, max(-1.0, cos_phi)))
@@ -181,13 +184,17 @@ def _roots_scaled(g2, e2, kap, da, dc):
     if 2.0 * g2 * (e2 / (kap * kap)) < 1e-10 * d0:
         gam0 = g2 / d0
         u0 = g2 * da / d0
-        n0 = e2 / ((kap + gam0) ** 2 + (dc - u0) ** 2)
-        return [_newton_polish(n0, g2, e2, kap, da, dc)]
-    c3, c2, c1, c0 = _cubic_coeffs(g2, e2, kap, da, dc)
-    raw = _depressed_real_roots(c2 / c3, c1 / c3, c0 / c3)
-    polished = sorted(_newton_polish(max(r, 0.0), g2, e2, kap, da, dc) for r in raw if r > -1e-12)
+        starts = [e2 / ((kap + gam0) ** 2 + (dc - u0) ** 2)]
+    else:
+        c3, c2, c1, c0 = _cubic_coeffs(g2, e2, kap, da, dc)
+        raw = _depressed_real_roots(c2 / c3, c1 / c3, c0 / c3)
+        starts = [max(r, 0.0) for r in raw if r > -1e-12]
+    polished = sorted(_newton_polish(r, g2, e2, kap, da, dc) for r in starts)
     if not polished:
         raise NoPhysicalRoot("stationary cubic produced no non-negative root")
+    for n in polished:
+        if _unconverged(_residual_scaled(n, g2, e2, kap, da, dc)[0], e2):
+            raise NoPhysicalRoot(f"Newton polish ended at N={n:.6g}, not a stationary root")
     roots = [polished[0]]
     for r in polished[1:]:
         if r - roots[-1] <= _MERGE_RTOL * max(r, 1e-300):
@@ -202,87 +209,14 @@ def _roots_scaled(g2, e2, kap, da, dc):
     return roots
 
 
-def _take(x, mask):
-    """x[mask] for an array of mask's shape; a scalar x as it is."""
-    return x[mask] if isinstance(x, np.ndarray) else x
-
-
-def _lower_branch_scaled(g2, e2, kap, da, dc):
-    """Vectorized smallest non-negative root over arrays of couplings g2 and pumps e2.
-
-    g2 and e2 broadcast against each other; a scalar e2 is used as it is,
-    so a scan over couplings pays nothing for the pump axis.
-    """
-    g2 = np.asarray(g2, dtype=float)
-    if isinstance(e2, np.ndarray):
-        g2, e2 = np.broadcast_arrays(g2, e2)
-    n = np.empty_like(g2)
-    d0 = da * da + 1.0
-    # same linear-regime split as the scalar path (also covers g2 == 0)
-    lin = 2.0 * g2 * (e2 / (kap * kap)) < 1e-10 * d0
-    if np.any(lin):
-        gam0 = g2[lin] / d0
-        u0 = g2[lin] * da / d0
-        n[lin] = _take(e2, lin) / ((kap + gam0) ** 2 + (dc - u0) ** 2)
-    if not np.all(lin):
-        g2a = g2[~lin]
-        c3, c2, c1, c0 = _cubic_coeffs(g2a, _take(e2, ~lin), kap, da, dc)
-        a = c2 / c3
-        b = c1 / c3
-        c = c0 / c3
-        p = b - a * a / 3.0
-        q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
-        shift = -a / 3.0
-        scale = np.maximum(np.sqrt(np.abs(p)), np.cbrt(np.abs(q)))
-        scale = np.where(scale == 0.0, 1.0, scale)
-        p = p / (scale * scale)
-        q = q / (scale * scale * scale)
-        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-        three = disc < 0.0
-        t = np.empty_like(q)
-        if np.any(three):
-            pm, qm = p[three], q[three]
-            m = 2.0 * np.sqrt(-pm / 3.0)
-            phi = np.arccos(np.clip(3.0 * qm / (pm * m), -1.0, 1.0))
-            # of the three real roots the smallest is at angle (phi - 4*pi)/3
-            t[three] = m * np.cos((phi - 4.0 * math.pi) / 3.0)
-        if np.any(~three):
-            ps, qs, ds = p[~three], q[~three], disc[~three]
-            s = np.sqrt(np.maximum(ds, 0.0))
-            big = -qs / 2.0 - np.copysign(s, qs)
-            t1 = np.cbrt(big)
-            nz = t1 != 0.0
-            t1 = np.where(nz, t1 - ps / (3.0 * np.where(nz, t1, 1.0)), 0.0)
-            t[~three] = t1
-        root = np.maximum(t * scale + shift, 0.0)
-        n[~lin] = root
-    # a few vectorized Newton sweeps; roots are simple away from fold points
-    for _ in range(6):
-        f, fp = _residual_scaled(n, g2, e2, kap, da, dc)
-        n = np.maximum(n - f / np.where(fp == 0.0, 1.0, fp), 0.0)
-    return n
-
-
 _ROOT_RTOL = 1e-12  # N is accepted as a root when |f(N)| <= _ROOT_RTOL * e2
 _TRACK_ITERS = 20  # Newton iterations before an element falls back
 
 
-def _lower_branch_checked(g2, e2, kap, da, dc):
-    """_lower_branch_scaled, with every element residual-checked.
-
-    Raises NoPhysicalRoot instead of returning a photon number that is not
-    a root to _ROOT_RTOL.
-    """
-    n = _lower_branch_scaled(g2, e2, kap, da, dc)
-    f, _ = _residual_scaled(n, g2, e2, kap, da, dc)
-    if np.any(_unconverged(f, e2)):
-        raise NoPhysicalRoot("batched lower-branch solve returned a photon number that is not a root")
-    return n
-
-
 def _unconverged(f, e2):
-    """True where a residual f fails the root test |f| <= _ROOT_RTOL * e2."""
-    return ~(np.abs(f) <= _ROOT_RTOL * e2)
+    """True where a residual f fails the root test |f| <= _ROOT_RTOL * e2; arrays or floats."""
+    ok = abs(f) <= _ROOT_RTOL * e2
+    return ~ok if isinstance(ok, np.ndarray) else not ok
 
 
 def _may_be_bistable(g2, e2, kap, da, dc):
@@ -303,19 +237,69 @@ def _may_be_bistable(g2, e2, kap, da, dc):
     return (a + g2 * (b - e2) < 0.0) & (g2 * (g2 + 2.0 * (b - 2.0 * e2)) + a > 0.0)
 
 
-def _lower_branch_from(n_start, g2, e2, kap, da, dc):
-    """Lower-branch photon numbers for an array of couplings g2, by Newton from n_start.
+def _closed_form_lower(g2, e2, kap, da, dc):
+    """Vectorized closed-form smallest root of the cubic, clipped at 0; a Newton start.
 
-    Made for stepping atoms in time: n_start is the previous step's root,
-    so Newton needs only a few iterations.  An element stops updating once
-    |f| <= _ROOT_RTOL * e2, so its result never depends on the other
-    elements.  A converged root is the lower branch unless
-    _may_be_bistable; elements that fail either test fall back to
-    _lower_branch_checked.
+    g2 and e2 broadcast against each other.  It is not a checked root:
+    cancellation can cost it all its digits (Kahan 2004; Blinn 2006-07).
     """
-    n = n_start
+    g2, e2 = np.broadcast_arrays(np.asarray(g2, dtype=float), e2)
+    n = np.empty(g2.shape)
+    d0 = da * da + 1.0
+    # same linear-regime split as the scalar path (also covers g2 == 0)
+    lin = 2.0 * g2 * (e2 / (kap * kap)) < 1e-10 * d0
+    gam0 = g2[lin] / d0
+    u0 = g2[lin] * da / d0
+    n[lin] = e2[lin] / ((kap + gam0) ** 2 + (dc - u0) ** 2)
+    c3, c2, c1, c0 = _cubic_coeffs(g2[~lin], e2[~lin], kap, da, dc)
+    a = c2 / c3
+    b = c1 / c3
+    c = c0 / c3
+    p = b - a * a / 3.0
+    q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
+    shift = -a / 3.0
+    scale = np.maximum(np.sqrt(np.abs(p)), np.cbrt(np.abs(q)))
+    scale = np.where(scale == 0.0, 1.0, scale)
+    p = p / (scale * scale)
+    q = q / (scale * scale * scale)
+    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    three = disc < 0.0
+    t = np.empty_like(q)
+    pm, qm = p[three], q[three]
+    m = 2.0 * np.sqrt(-pm / 3.0)
+    phi = np.arccos(np.clip(3.0 * qm / (pm * m), -1.0, 1.0))
+    # of the three real roots the smallest is at angle (phi - 4*pi)/3
+    t[three] = m * np.cos((phi - 4.0 * math.pi) / 3.0)
+    ps, qs = p[~three], q[~three]
+    s = np.sqrt(np.maximum(disc[~three], 0.0))
+    # the large-magnitude cube root first, to avoid cancellation
+    t1 = np.cbrt(-qs / 2.0 - np.copysign(s, qs))
+    nz = t1 != 0.0
+    t[~three] = np.where(nz, t1 - ps / (3.0 * np.where(nz, t1, 1.0)), 0.0)
+    n[~lin] = np.maximum(t * scale + shift, 0.0)
+    return n
+
+
+def _lower_branch(g2, e2, kap, da, dc, n_start=None):
+    """Lower-branch photon numbers over broadcast arrays of couplings g2 and pumps e2.
+
+    Newton starts from n_start (a stepper passes the previous step's
+    roots), or without one from _closed_form_lower.  An element stops
+    updating once |f| <= _ROOT_RTOL * e2, so its result never depends on
+    the other elements.  From a cold start an element takes one more
+    Newton step after it first passes, which brings it to the scalar
+    solver's root within rounding, and must pass again.  An element that
+    fails the test after _TRACK_ITERS iterations, or that _may_be_bistable
+    flags (a converged root need not be the lowest there), is the scalar
+    solver's lower branch _roots_scaled(...)[0], which raises
+    NoPhysicalRoot where it finds no root.  So every element passes the
+    root test.
+    """
+    cold = n_start is None
+    n = _closed_form_lower(g2, e2, kap, da, dc) if cold else n_start
     d0 = da * da + 1.0
     two_g2 = 2.0 * g2
+    pending = True  # from a cold start, an element steps once more after it passes
     for it in range(_TRACK_ITERS + 1):
         # f and f' of _residual_scaled, with the per-call factors taken out
         t = two_g2 * n
@@ -326,6 +310,8 @@ def _lower_branch_from(n_start, g2, e2, kap, da, dc):
         s = ka * ka + dd * dd
         f = n * s - e2
         todo = _unconverged(f, e2)
+        if cold:
+            todo, pending = todo | pending, todo
         if it == _TRACK_ITERS or not np.count_nonzero(todo):
             break
         fp = s - 2.0 * t * gam * (ka - da * dd) / d
@@ -334,26 +320,9 @@ def _lower_branch_from(n_start, g2, e2, kap, da, dc):
         n = np.where(todo, step, n)
     redo = todo | _may_be_bistable(g2, e2, kap, da, dc)
     if np.count_nonzero(redo):
-        n = n.copy()
-        n[redo] = _lower_branch_checked(g2[redo], e2, kap, da, dc)
-    return n
-
-
-def _lower_branch_verified(g2, e2, kap, da, dc):
-    """Lower-branch photon numbers over broadcast arrays of couplings g2 and pumps e2.
-
-    A root of _lower_branch_scaled is kept where it passes the recoil
-    stepper's guard: |f| <= _ROOT_RTOL * e2 and not _may_be_bistable, so
-    it is the cubic's only positive root.  Every other element is the
-    scalar solver's lower branch, _roots_scaled(...)[0], which raises
-    NoPhysicalRoot where it finds no root.
-    """
-    n = _lower_branch_scaled(g2, e2, kap, da, dc)
-    f, _ = _residual_scaled(n, g2, e2, kap, da, dc)
-    redo = np.flatnonzero(_unconverged(f, e2) | _may_be_bistable(g2, e2, kap, da, dc))
-    if redo.size:
+        n = np.array(n, dtype=float)
         g2b, e2b = np.broadcast_arrays(g2, e2)
-        for i in redo:
+        for i in np.flatnonzero(redo):
             n.flat[i] = _roots_scaled(g2b.flat[i], e2b.flat[i], kap, da, dc)[0]
     return n
 
@@ -453,14 +422,15 @@ def _stationary_pump_scan(
 ) -> np.ndarray:
     """Lower-branch photon number at g_max for an array of pump rates (vectorized).
 
-    Each element is a root that passes |f| <= 1e-12*eta^2 where the
-    stationary cubic has a single positive root, and otherwise the
-    photon number of solve_stationary at that pump rate.
+    Every element passes the root test |f| <= 1e-12*eta^2.  Where the
+    stationary cubic may have more than one positive root, or Newton does
+    not converge, it is the photon number of solve_stationary at that pump
+    rate.
     """
     gam = atom.gamma
     eta2 = np.asarray(j_values, dtype=float) * cavity.kappa_t
     g2 = (cavity.g_max / gam) ** 2
-    return _lower_branch_verified(
+    return _lower_branch(
         g2, eta2 / gam**2, cavity.kappa / gam, atom.delta_a / gam, cavity.delta_c / gam
     )
 
@@ -468,11 +438,17 @@ def _stationary_pump_scan(
 def stationary_scan(
     atom: AtomParams, cavity: CavityParams, drive: DriveParams, g_values: np.ndarray
 ) -> np.ndarray:
-    """Lower-branch photon number for an array of local couplings (vectorized)."""
+    """Lower-branch photon number for an array of local couplings (vectorized).
+
+    Every element passes the root test |f| <= 1e-12*eta^2.  Where the
+    stationary cubic may have more than one positive root, or Newton does
+    not converge, it is the photon number of solve_stationary at that
+    coupling.
+    """
     gam = atom.gamma
     g2 = (np.asarray(g_values, dtype=float) / gam) ** 2
     eta2 = drive.j_in * cavity.kappa_t
-    return _lower_branch_scaled(
+    return _lower_branch(
         g2, eta2 / gam**2, cavity.kappa / gam, atom.delta_a / gam, cavity.delta_c / gam
     )
 

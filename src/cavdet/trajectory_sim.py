@@ -27,12 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, QuasiStaticViolated, StepTooLarge
 from .params import HBAR, K_B, KHZ, AtomParams, CavityParams, DriveParams, US, require_finite
-from .steady_state import (
-    _lower_branch_checked,
-    _lower_branch_from,
-    empty_cavity_state,
-    stationary_scan,
-)
+from .steady_state import _lower_branch, empty_cavity_state, stationary_scan
 
 PRESENCE_WAISTS = 3.0  # |y| within this many waists counts as "atom present"
 _DIP_SWEEP = (1, 2, 3, 4, 5)  # persistence conventions (in strides) for the dark-rate spread
@@ -331,9 +326,11 @@ def simulate_block(
     for each run of _STEP_BLOCK steps, the uniforms that set its Poisson
     kick counts by inversion and its axial-diffusion normals; the
     directions of each of its kicks as it happens; its detector clicks
-    after the transit.  Record i therefore depends only on rngs[i], not on
-    the block it is stepped in.  Without recoil each atom is
-    simulate_trajectory on its own.
+    after the transit.  Each step's photon numbers are one _lower_branch
+    call, warm-started from the step before, so each is a checked root
+    that depends only on its own atom.  Record i therefore depends only on
+    rngs[i], not on the block it is stepped in.  Without recoil each atom
+    is simulate_trajectory on its own.
     """
     if not sim.include_recoil:
         return [simulate_trajectory(atom, cavity, drive, guide, sim, rng) for rng in rngs]
@@ -373,10 +370,7 @@ def simulate_block(
         g_env = cavity.g_max * np.exp((y * y + q[1] * q[1]) * neg_inv_w0sq)
         g_loc2 = (g_env * np.cos(k_opt * q[0])) ** 2
         g2 = g_loc2 * inv_gam2
-        if n is None:
-            n = _lower_branch_checked(g2, e2, kap_s, da_s, dc_s)
-        else:
-            n = _lower_branch_from(n, g2, e2, kap_s, da_s, dc_s)
+        n = _lower_branch(g2, e2, kap_s, da_s, dc_s, n)
         g2n = g2 * n
         rho = g2n / (d0 + 2.0 * g2n)
         position[:, i, ::2] = q.T

@@ -132,8 +132,10 @@ def test_grid_roots_pass_the_residual_test_or_are_the_scalar_branch(fallbacks):
 
 
 def test_grid_never_returns_a_bad_batched_root(monkeypatch, narrow_cavity):
-    batched = steady_state._lower_branch_scaled
-    monkeypatch.setattr(steady_state, "_lower_branch_scaled", lambda *a: 1.5 * batched(*a))
+    # a corrupt Newton start and no Newton iterations: no element converges
+    start = steady_state._closed_form_lower
+    monkeypatch.setattr(steady_state, "_closed_form_lower", lambda *a: 1.5 * start(*a))
+    monkeypatch.setattr(steady_state, "_TRACK_ITERS", 0)
     schemes = (
         (AtomParams(), saturation_pump),
         (AtomParams(delta_a=200 * GAMMA), dispersive_saturation_pump),

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from cavdet import (
@@ -25,7 +25,8 @@ from cavdet import (
     stationary_photon_numbers,
     stationary_scan,
 )
-from cavdet.steady_state import _cubic_coeffs, _may_be_bistable
+from cavdet import steady_state
+from cavdet.steady_state import _cubic_coeffs, _may_be_bistable, _stationary_pump_scan
 
 
 def residual(n, atom, cavity, drive, g):
@@ -248,6 +249,14 @@ detunings = st.floats(min_value=-300.0, max_value=300.0)
 pumps = st.floats(min_value=1e3, max_value=1e12)
 
 
+# strong saturation of a resonant, lossless cavity: one root, which the
+# closed-form cubic loses to cancellation
+CORNER_EXAMPLES = [
+    (30.0, 0.109375, 0.0, 0.0, 0.0, 985791632184.0),
+    (31.0, 0.109375, 0.0, 0.0, 0.0, 709406480656.0),
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     g=st.floats(min_value=0.0, max_value=40.0),
@@ -257,6 +266,8 @@ pumps = st.floats(min_value=1e3, max_value=1e12)
     dc=detunings,
     j=pumps,
 )
+@example(*CORNER_EXAMPLES[0])
+@example(*CORNER_EXAMPLES[1])
 def test_root_invariants(g, kt, kl, da, dc, j):
     atom = AtomParams(delta_a=da * MHZ)
     cavity = CavityParams(g_max=g * MHZ, kappa_t=kt * MHZ, kappa_loss=kl * MHZ, delta_c=dc * MHZ)
@@ -272,6 +283,69 @@ def test_root_invariants(g, kt, kl, da, dc, j):
         assert 0.0 <= n <= cap * (1 + 1e-9)
         res = residual(n, atom, cavity, drive, cavity.g_max)
         assert abs(res) <= 1e-8 * max(eta2, 1e-300)
+
+
+# the root-invariant domain, and the strong-saturation corner it rarely reaches
+solver_domain = st.tuples(
+    st.floats(min_value=0.0, max_value=40.0),
+    rates,
+    st.floats(min_value=0.0, max_value=100.0),
+    detunings,
+    detunings,
+    pumps,
+)
+saturation_corner = st.tuples(
+    st.floats(min_value=0.0, max_value=40.0),
+    st.floats(min_value=0.1, max_value=3.0),
+    st.floats(min_value=0.0, max_value=0.1),
+    st.just(0.0),
+    st.just(0.0),
+    st.floats(min_value=1e9, max_value=1e12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(solver_domain, saturation_corner))
+@example(case=CORNER_EXAMPLES[0])
+@example(case=CORNER_EXAMPLES[1])
+def test_batched_lower_branch_is_the_scalar_lower_root(case):
+    g, kt, kl, da, dc, j = case
+    atom = AtomParams(delta_a=da * MHZ)
+    cavity = CavityParams(g_max=g * MHZ, kappa_t=kt * MHZ, kappa_loss=kl * MHZ, delta_c=dc * MHZ)
+    drive = DriveParams(j_in=j, tau=1e-5)
+    gam = atom.gamma
+    kap, da_s, dc_s = cavity.kappa / gam, atom.delta_a / gam, cavity.delta_c / gam
+
+    def check(n, g_values, j_values, warm=False):
+        g_values, j_values = np.broadcast_arrays(g_values, j_values)
+        lower = []
+        for g_k, j_k in zip(g_values.tolist(), j_values.tolist()):
+            d = DriveParams(j_in=j_k, tau=1e-5)
+            lower.append(stationary_photon_numbers(atom, cavity, d, g_local=g_k)[0])
+        lower = np.array(lower)
+        g2, e2 = (g_values / gam) ** 2, j_values * cavity.kappa_t / gam**2
+        f, _ = steady_state._residual_scaled(n, g2, e2, kap, da_s, dc_s)
+        assert np.all(np.abs(f) <= 1e-12 * e2)
+        if warm:
+            # a warm start stops at the root test, |f| <= 1e-12*e2, which
+            # puts N within 1e-12*e2/f' of the root, not within 1e-12*N
+            _, fp = steady_state._residual_scaled(lower, g2, e2, kap, da_s, dc_s)
+            assert np.all(np.abs(n - lower) * fp <= 1e-12 * e2 + 1e-15 * lower * fp)
+        else:
+            np.testing.assert_allclose(n, lower, rtol=1e-12, atol=0)
+
+    g_values = np.linspace(0.0, cavity.g_max, 64)
+    j_values = j * np.logspace(-2, 0, 33)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        check(stationary_scan(atom, cavity, drive, g_values), g_values, j)
+        check(_stationary_pump_scan(atom, cavity, j_values), cavity.g_max, j_values)
+        # warm-started along the coupling grid, as the transit stepper does
+        g2 = (g_values / gam) ** 2
+        e2 = j * cavity.kappa_t / gam**2
+        n_cold = steady_state._lower_branch(g2[:-1], e2, kap, da_s, dc_s)
+        n_warm = steady_state._lower_branch(g2[1:], e2, kap, da_s, dc_s, n_cold)
+        check(n_warm, g_values[1:], j, warm=True)
 
 
 @settings(max_examples=150, deadline=None)
@@ -326,6 +400,7 @@ def test_population_and_coherence_bounds(g, kt, kl, da, dc, j):
         (0.109375, 0.1, 228.5, 229.5),  # three real roots
         (0.1, 0.1, 280.0, 280.0),
         (0.1, 0.1015625, 252.375, 252.482421875),
+        (0.012152777777777776, 0.1, 58.0, 238.0625),  # discriminant rounds to 0
     ],
 )
 def test_tiny_root_beside_large_roots(g, kt, da, dc):

@@ -430,15 +430,16 @@ STRONG_DRIVE = DriveParams(75e6, 10 * US)
 
 def test_recoil_solve_guard_falls_back_where_bistable(monkeypatch, atom, guide):
     guarded = []
-    checked = steady_state._lower_branch_checked
+    scalar = steady_state._roots_scaled
 
-    def spy(g2, *args):
-        guarded.append(np.array(g2))
-        return checked(g2, *args)
+    def spy(*args):
+        guarded.append(args)
+        return scalar(*args)
 
-    monkeypatch.setattr(steady_state, "_lower_branch_checked", spy)
+    monkeypatch.setattr(steady_state, "_roots_scaled", spy)
     sim = SimConfig(seed=0, duration=40 * US)
     rec = simulate_trajectory(atom, STRONG_CAVITY, STRONG_DRIVE, guide, sim, trajectory_rng(0, 2))
+    monkeypatch.undo()
     gam = atom.gamma
     scaled = (
         STRONG_DRIVE.j_in * STRONG_CAVITY.kappa_t / gam**2,
@@ -446,11 +447,12 @@ def test_recoil_solve_guard_falls_back_where_bistable(monkeypatch, atom, guide):
         atom.delta_a / gam,
         STRONG_CAVITY.delta_c / gam,
     )
+    assert all(args[1:] == scaled for args in guarded)
     bistable = [
         (c2 < 0.0) & (c1 > 0.0)
-        for c3, c2, c1, c0 in (steady_state._cubic_coeffs(g2, *scaled) for g2 in guarded)
+        for c3, c2, c1, c0 in (steady_state._cubic_coeffs(*args) for args in guarded)
     ]
-    assert any(mask.any() for mask in bistable)
+    assert any(bistable)
     for i in range(rec.times.size):
         g = local_coupling(rec.position[i], STRONG_CAVITY, atom)
         lower = stationary_photon_numbers(atom, STRONG_CAVITY, STRONG_DRIVE, g_local=g)[0]
@@ -458,19 +460,12 @@ def test_recoil_solve_guard_falls_back_where_bistable(monkeypatch, atom, guide):
 
 
 def test_recoil_fallback_that_is_not_a_root_raises(monkeypatch, atom, guide):
-    calls = []
-    lower = steady_state._lower_branch_scaled
-
-    def corrupt_after_first(g2, *args):
-        calls.append(g2.size)
-        n = lower(g2, *args)
-        return n if len(calls) == 1 else 1.5 * n
-
-    monkeypatch.setattr(steady_state, "_lower_branch_scaled", corrupt_after_first)
+    polish = steady_state._newton_polish
+    monkeypatch.setattr(steady_state, "_newton_polish", lambda *args: 1.5 * polish(*args))
     sim = SimConfig(seed=0, duration=40 * US)
-    with pytest.raises(NoPhysicalRoot):
+    # raised by the scalar solver's residual check of its polished roots
+    with pytest.raises(NoPhysicalRoot, match="not a stationary root"):
         simulate_trajectory(atom, STRONG_CAVITY, STRONG_DRIVE, guide, sim, trajectory_rng(0, 2))
-    assert len(calls) >= 2  # raised by a fallback, not by the first step
 
 
 # --- ensemble detection -----------------------------------------------------------

@@ -43,6 +43,11 @@ class MotionAverages:
 
 
 def _warn_if_saturated(atom, cavity, drive):
+    # every stationary root obeys N <= j_in*kappa_t/kappa^2, the empty
+    # resonant cavity's photon number, so no solve is needed below that bound
+    n_max = drive.j_in * cavity.kappa_t / cavity.kappa**2
+    if 2.0 * cavity.g_max**2 * n_max / atom.gamma**2 <= SATURATION_MAX:
+        return
     state = solve_stationary(atom, cavity, drive)
     sat = 2.0 * cavity.g_max**2 * state.n_photons / atom.gamma**2
     if sat > SATURATION_MAX:

@@ -1,4 +1,9 @@
-"""Scalar maximization helpers for smooth, effectively unimodal objectives."""
+"""Scalar maximization helpers for smooth, effectively unimodal objectives.
+
+golden_max is Brent's method (parabolic steps, golden-section fallback);
+max_on_log_grid scans a log grid and polishes its best point with it, and
+max_over_kappa_t runs it over log kappa_t on a pump maximizer.
+"""
 from __future__ import annotations
 
 import math
@@ -8,31 +13,76 @@ import numpy as np
 
 from .errors import NoMaximumInBounds
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of the larger part
 _GRID_RTOL = 1e-6  # grid points this close to a grid objective's maximum are rescored with f
 
 
 def golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6, max_iter: int = 200):
-    """Golden-section maximization of f on [lo, hi]; returns (x, f(x))."""
+    """Maximum of f on [lo, hi] by Brent's method; returns (x, f(x)).
+
+    Each step goes to the vertex of the parabola through the best three
+    points so far, or, where that step is not trusted (outside the
+    bracket, or not under half the step before last), a golden-section
+    step into the larger side of the bracket (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5).  Steps are at least a
+    quarter of the tolerance.  Stops once the bracket [a, b] around the
+    best point is at most rel_tol*(|a| + |b|) wide, or after max_iter
+    steps.  A NaN value counts as worse than any number; a best value
+    that is not finite raises NoMaximumInBounds.
+    """
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise NoMaximumInBounds(f"invalid bracket [{lo}, {hi}]")
+
+    def value(t):
+        y = f(t)
+        return -math.inf if y != y else y
+
     a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
+    # x is the best point, w the second best, v the previous w
+    x = w = v = a + _CGOLD * (b - a)
+    fx = fw = fv = value(x)
+    d = e = 0.0  # the last step and the one before it
     for _ in range(max_iter):
-        if b - a <= rel_tol * (abs(a) + abs(b)):
+        tol = rel_tol * (abs(a) + abs(b))
+        if b - a <= tol:
             break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
+        tol1 = 0.25 * tol
+        mid = 0.5 * (a + b)
+        parabolic = False
+        if abs(e) > tol1:
+            # the parabola's vertex is x + p/q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                e, d = d, p / q
+                if x + d - a < 2.0 * tol1 or b - (x + d) < 2.0 * tol1:
+                    d = math.copysign(tol1, mid - x)
+        if not parabolic:
+            e = a - x if x >= mid else b - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = value(u)
+        if fu > fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = c if fc > fd else d
-    fx = max(fc, fd)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
     if not math.isfinite(fx):
         raise NoMaximumInBounds(f"objective is not finite near x={x:.6g}")
     return x, fx
@@ -43,9 +93,10 @@ def max_on_log_grid(
 ):
     """Grid-then-polish maximization of f over a log-spaced range.
 
-    Scans a grid of per_decade points per decade, then golden-sections in
-    log space within one grid step of the best point.  Robust against the
-    mild multimodality that fold points introduce.  Returns (x, f(x)).
+    Scans a grid of per_decade points per decade, then polishes with
+    golden_max (Brent's method, rel_tol=1e-10) in log space within one grid
+    step of the best point.  Robust against the mild multimodality that
+    fold points introduce.  Returns (x, f(x)).
 
     f_grid, if given, evaluates f over the whole grid array in one call;
     by default f is mapped over the grid.  A grid objective only has to
@@ -94,10 +145,12 @@ def max_over_kappa_t(pump_max, cavity, bounds=None, rel_tol: float = 1e-4) -> Ka
 
     pump_max(trial_cavity, per_decade) returns (j_in, snr) at the best pump
     rate for that cavity.  cavity supplies g_max and kappa_loss; its kappa_t
-    is ignored and searched over in log space, on a 31-per-decade pump grid,
-    and the optimum is re-evaluated on the full 61-per-decade grid.  Default
-    bounds span [kappa_loss/20, 5*kappa_loss]; explicit bounds are required
-    when kappa_loss = 0.  Results landing at a bound are flagged, not raised.
+    is ignored and searched over in log space by golden_max (Brent's method,
+    down to a bracket rel_tol*(|a| + |b|) wide in log kappa_t), on a
+    31-per-decade pump grid, and the optimum is re-evaluated on the full
+    61-per-decade grid.  Default bounds span [kappa_loss/20, 5*kappa_loss];
+    explicit bounds are required when kappa_loss = 0.  Results landing at a
+    bound are flagged, not raised.
     """
     if bounds is None:
         if cavity.kappa_loss <= 0:

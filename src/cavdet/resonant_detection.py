@@ -195,7 +195,8 @@ def max_snr_over_pump(
     """Maximize the resonant SNR over the pump rate.
 
     The scan grid is log-spaced and centered on the saturation pump, where
-    the optimum sits; a golden-section polish refines the best grid point.
+    the optimum sits; a Brent polish (optimize.golden_max) refines the best
+    grid point.
     """
     check_resonant(atom, cavity)
     j_sat = saturation_pump(atom, cavity)

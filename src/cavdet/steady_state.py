@@ -386,15 +386,10 @@ def solve_stationary(
     return _state_from_n(roots[0], g, atom, cavity, drive, len(roots), roots)
 
 
-def _empty_field(eta: float, cavity: CavityParams) -> tuple[complex, float]:
-    """Empty-cavity amplitude alpha = eta/(kappa - i*delta_c) and its photon number |alpha|^2."""
-    alpha = eta / (cavity.kappa - 1j * cavity.delta_c)
-    return alpha, abs(alpha) ** 2
-
-
 def empty_cavity_state(cavity: CavityParams, drive: DriveParams) -> StationaryState:
     """Closed-form stationary state with no atom: alpha = eta/(kappa - i*delta_c)."""
-    alpha, n = _empty_field(pump_amplitude(drive, cavity), cavity)
+    alpha = pump_amplitude(drive, cavity) / (cavity.kappa - 1j * cavity.delta_c)
+    n = abs(alpha) ** 2
     return StationaryState(
         alpha=complex(alpha),
         n_photons=float(n),
@@ -408,13 +403,9 @@ def empty_cavity_state(cavity: CavityParams, drive: DriveParams) -> StationarySt
 
 
 def _empty_photons_over_pump(cavity: CavityParams, j_values: np.ndarray) -> np.ndarray:
-    """empty_cavity_state(...).n_photons at each pump rate.
-
-    Element by element in Python's complex arithmetic, as the scalar state
-    does it: numpy's complex quotient and square round differently.
-    """
-    eta = np.sqrt(np.asarray(j_values, dtype=float) * cavity.kappa_t)
-    return np.array([_empty_field(e, cavity)[1] for e in eta.tolist()])
+    """empty_cavity_state(...).n_photons at each pump rate, to rounding: eta^2/(kappa^2 + delta_c^2)."""
+    eta2 = np.asarray(j_values, dtype=float) * cavity.kappa_t
+    return eta2 / (cavity.kappa**2 + cavity.delta_c**2)
 
 
 def _stationary_pump_scan(

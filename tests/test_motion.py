@@ -1,6 +1,7 @@
 """Position-averaged signal and momentum-diffusion back-action."""
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from cavdet import (
     SaturationWarning,
     cooperativity,
     diffusion_coefficient,
+    load_config,
     saturation_pump,
     snr_low_saturation,
     solve_stationary,
     spatial_averages,
 )
+from cavdet import motion
 
 TAU = 10 * US
 
@@ -54,10 +57,49 @@ def test_averaged_quantities_are_consistent(atom, fig_cavity):
     )
 
 
-def test_no_warning_at_low_pump(atom, fig_cavity):
+def test_no_warning_at_low_pump(atom, fig_cavity, monkeypatch):
+    # N <= j_in*kappa_t/kappa^2 keeps the saturation below the edge here,
+    # so the check needs no stationary solve
+    solves = []
+    monkeypatch.setattr(motion, "solve_stationary", lambda *a: solves.append(a))
+    drive = DriveParams(1e4, TAU)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spatial_averages(atom, fig_cavity, DriveParams(1e4, TAU))
+        spatial_averages(atom, fig_cavity, drive)
+        diffusion_coefficient(atom, fig_cavity, drive, 0.0)
+    assert solves == []
+
+
+def test_saturation_warning_on_the_transit_scan():
+    # the motion-averages grid of configs/transit.json: each point warns
+    # exactly when its solved antinode saturation exceeds the edge
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "transit.json")
+    atom, cavity = cfg.atom, cfg.cavity
+    messages = []
+    for j in cfg.drive.j_in * np.logspace(-1.0, 1.0, 41):
+        drive = DriveParams(j, cfg.drive.tau)
+        n = solve_stationary(atom, cavity, drive).n_photons
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            spatial_averages(atom, cavity, drive)
+        saturated = 2.0 * cavity.g_max**2 * n / atom.gamma**2 > motion.SATURATION_MAX
+        assert [w.category for w in caught] == [SaturationWarning] * saturated
+        messages += [str(w.message) for w in caught]
+    assert len(messages) == 23
+    assert messages[0].startswith("antinode saturation 0.112 exceeds 0.1")
+
+
+@pytest.mark.parametrize("ratio, warns", [(0.99, False), (1.01, True)])
+def test_saturation_warning_at_the_edge(atom, ratio, warns):
+    # at C = 1e-3 the atom lowers N only 0.4 % below j_in*kappa_t/kappa^2,
+    # whose saturation is ratio*SATURATION_MAX here
+    cavity = CavityParams(g_max=12 * MHZ, kappa_t=100 * MHZ, kappa_loss=47900 * MHZ)
+    n_max = ratio * motion.SATURATION_MAX * atom.gamma**2 / (2.0 * cavity.g_max**2)
+    drive = DriveParams(n_max * cavity.kappa**2 / cavity.kappa_t, TAU)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spatial_averages(atom, cavity, drive)
+    assert [w.category for w in caught] == [SaturationWarning] * warns
 
 
 def test_requires_resonance(atom, fig_cavity):

@@ -33,3 +33,36 @@ def test_max_on_log_grid_polishes():
     # monotone edge case lands at the boundary
     x_edge, _ = max_on_log_grid(lambda x: x, 1.0, 100.0, per_decade=11)
     assert x_edge == pytest.approx(100.0, rel=1e-6)
+
+
+def test_golden_max_quadratic_in_few_evaluations():
+    # golden section alone needs about 50 evaluations for this bracket
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return -(x - 1.7) ** 2 + 4.0
+
+    x, fx = golden_max(f, 0.0, 5.0, rel_tol=1e-10)
+    assert x == pytest.approx(1.7, abs=1e-8)
+    assert fx == 4.0
+    assert len(calls) <= 20
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_golden_max_returns_a_maximum_at_either_end(sign, rel_tol):
+    lo, hi = 2.0, 7.0
+    x, fx = golden_max(lambda x: sign * x, lo, hi, rel_tol=rel_tol)
+    end = hi if sign > 0 else lo
+    assert abs(x - end) <= rel_tol * (abs(lo) + abs(hi))
+    assert fx == sign * x
+
+
+def test_golden_max_treats_nan_as_worst():
+    # NaN on the left part of the bracket: the maximum on the right is found
+    f = lambda x: float("nan") if x < 0.5 else -((x - 0.8) ** 2)
+    x, fx = golden_max(f, 0.0, 1.0, rel_tol=1e-10)
+    assert x == pytest.approx(0.8, abs=1e-7)
+    with pytest.raises(NoMaximumInBounds):
+        golden_max(lambda x: float("nan"), 0.0, 1.0, rel_tol=1e-10)

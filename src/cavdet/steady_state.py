@@ -33,9 +33,6 @@ from .errors import IllConditionedRootsWarning, NoPhysicalRoot, StepTooLarge
 from .params import AtomParams, CavityParams, DriveParams, pump_amplitude
 
 _MERGE_RTOL = 1e-9  # roots closer than this (relative) are reported as one
-# a cubic root below this fraction of the shift -a/3 has lost most of its
-# digits to cancellation and is recomputed from the product of the roots
-_CANCEL_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,12 @@ class BlochTrajectory:
 
 
 # ---------------------------------------------------------------------------
-# cubic root machinery, in units of Gamma for float conditioning
+# stationary root machinery, in units of Gamma for float conditioning
+#
+# Every root lies in the bracket N in [0, e2/kap^2], where f(0) = -e2 < 0
+# and f(e2/kap^2) >= 0.  Both solvers run Newton on the residual f from the
+# start of _two_limits: the batched one masked per element, the scalar one
+# inside sign brackets split at the cubic's critical points.
 # ---------------------------------------------------------------------------
 
 def _cubic_coeffs(g2, e2, kap, da, dc):
@@ -106,111 +108,9 @@ def _residual_scaled(n, g2, e2, kap, da, dc):
     return f, fp
 
 
-def _newton_polish(n, g2, e2, kap, da, dc, iters=60):
-    """Newton refinement of one root toward 1e-12 relative residual; _roots_scaled checks it."""
-    scale = max(e2, 1e-300)
-    for _ in range(iters):
-        f, fp = _residual_scaled(n, g2, e2, kap, da, dc)
-        if fp == 0.0:
-            break
-        step = f / fp
-        n_new = n - step
-        if n_new < 0.0:
-            n_new = 0.5 * n
-        if abs(f) <= 1e-12 * scale and abs(step) <= 1e-13 * max(abs(n), 1e-300):
-            n = n_new
-            break
-        n = n_new
-    return max(n, 0.0)
-
-
-def _depressed_real_roots(a, b, c):
-    """Real roots of t^3 + a t^2 + b t + c, ascending."""
-    p = b - a * a / 3.0
-    q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
-    shift = -a / 3.0
-    # rescale roots to O(1); otherwise the discriminant overflows when the
-    # leading cubic coefficient is many orders below the others
-    scale = max(math.sqrt(abs(p)), abs(q) ** (1.0 / 3.0))
-    if scale == 0.0:
-        return [shift]
-    p /= scale * scale
-    q /= scale * scale * scale
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    if disc > 0.0:
-        s = math.sqrt(disc)
-        # evaluate the large-magnitude cube root first to avoid cancellation
-        big = -q / 2.0 - math.copysign(s, q)
-        t1 = float(np.cbrt(big))
-        if t1 != 0.0:
-            t1 = t1 - p / (3.0 * t1)
-        r = t1 * scale + shift
-        if abs(r) < _CANCEL_RTOL * abs(shift):
-            # r was lost to cancellation against the shift; take it from
-            # the deflated quadratic t^2 + (a + r)*t + q1 instead, r = -c/q1
-            q1 = b + r * (a + r)
-            if q1 != 0.0:
-                r = -c / q1
-        return [r]
-    if disc == 0.0:
-        if p == 0.0:
-            return [shift]
-        single = 3.0 * q / p * scale + shift
-        double = -1.5 * q / p * scale + shift
-        if abs(single) < _CANCEL_RTOL * abs(shift) and double != 0.0:
-            # likewise, from single*double^2 = -c
-            single = -c / (double * double)
-        return sorted({single, double})
-    m = 2.0 * math.sqrt(-p / 3.0)
-    cos_phi = 3.0 * q / (p * m)
-    phi = math.acos(min(1.0, max(-1.0, cos_phi)))
-    roots = [m * math.cos((phi - 2.0 * math.pi * k) / 3.0) * scale + shift for k in range(3)]
-    roots.sort(key=abs)
-    if abs(roots[0]) < _CANCEL_RTOL * abs(shift) and roots[1] * roots[2] != 0.0:
-        # likewise, from r0*r1*r2 = -c
-        roots[0] = -c / (roots[1] * roots[2])
-    return sorted(roots)
-
-
-def _roots_scaled(g2, e2, kap, da, dc):
-    """Distinct non-negative roots of the scaled stationary equation, ascending."""
-    if e2 == 0.0:
-        return [0.0]
-    if g2 == 0.0:
-        return [e2 / (kap * kap + dc * dc)]
-    d0 = da * da + 1.0
-    # every root obeys N <= e2/kap^2, so a tiny coupling cannot saturate the
-    # atom and the equation is effectively linear; the cubic would be singular
-    if 2.0 * g2 * (e2 / (kap * kap)) < 1e-10 * d0:
-        gam0 = g2 / d0
-        u0 = g2 * da / d0
-        starts = [e2 / ((kap + gam0) ** 2 + (dc - u0) ** 2)]
-    else:
-        c3, c2, c1, c0 = _cubic_coeffs(g2, e2, kap, da, dc)
-        raw = _depressed_real_roots(c2 / c3, c1 / c3, c0 / c3)
-        starts = [max(r, 0.0) for r in raw if r > -1e-12]
-    polished = sorted(_newton_polish(r, g2, e2, kap, da, dc) for r in starts)
-    if not polished:
-        raise NoPhysicalRoot("stationary cubic produced no non-negative root")
-    for n in polished:
-        if _unconverged(_residual_scaled(n, g2, e2, kap, da, dc)[0], e2):
-            raise NoPhysicalRoot(f"Newton polish ended at N={n:.6g}, not a stationary root")
-    roots = [polished[0]]
-    for r in polished[1:]:
-        if r - roots[-1] <= _MERGE_RTOL * max(r, 1e-300):
-            warnings.warn(
-                "stationary roots separated by less than 1e-9 relative; "
-                "reporting them as a single branch",
-                IllConditionedRootsWarning,
-                stacklevel=3,
-            )
-            continue
-        roots.append(r)
-    return roots
-
-
 _ROOT_RTOL = 1e-12  # N is accepted as a root when |f(N)| <= _ROOT_RTOL * e2
 _TRACK_ITERS = 20  # Newton iterations before an element falls back
+_BRACKET_ITERS = 100  # safeguarded Newton steps before a bracketed solve gives up
 
 
 def _unconverged(f, e2):
@@ -232,59 +132,139 @@ def _may_be_bistable(g2, e2, kap, da, dc):
     d0 = da * da + 1.0
     a = d0 * (kap * kap + dc * dc)
     b = kap - dc * da
-    if not isinstance(e2, np.ndarray) and b >= e2:  # then c2 > 0 for every g2 >= 0
+    if isinstance(g2, np.ndarray) and not isinstance(e2, np.ndarray) and b >= e2:
+        # then c2 > 0 for every g2 >= 0
         return np.zeros(np.shape(g2), dtype=bool)
     return (a + g2 * (b - e2) < 0.0) & (g2 * (g2 + 2.0 * (b - 2.0 * e2)) + a > 0.0)
 
 
-def _closed_form_lower(g2, e2, kap, da, dc):
-    """Vectorized closed-form smallest root of the cubic, clipped at 0; a Newton start.
+def _two_limits(g2, e2, kap, da, dc):
+    """The weak-drive and fully saturated photon numbers (n_lin, n_sat); Newton's start.
 
-    g2 and e2 broadcast against each other.  It is not a checked root:
-    cancellation can cost it all its digits (Kahan 2004; Blinn 2006-07).
+    n_lin = e2/((kap + g2/d0)^2 + (dc - g2*da/d0)^2) is the root with the
+    atom unsaturated, exact at g2 = 0.  n_sat is the larger root of
+    (kap^2 + dc^2)*N^2 + (kap - dc*da - e2)*N + d0/4, the limit where
+    gamma -> 1/(2N) and U -> da/(2N); it is 0 where that quadratic has
+    no positive root.  The start is the larger of the two, clipped at
+    e2/kap^2.  Works on scalars and on arrays that broadcast.
     """
-    g2, e2 = np.broadcast_arrays(np.asarray(g2, dtype=float), e2)
-    n = np.empty(g2.shape)
     d0 = da * da + 1.0
-    # same linear-regime split as the scalar path (also covers g2 == 0)
-    lin = 2.0 * g2 * (e2 / (kap * kap)) < 1e-10 * d0
-    gam0 = g2[lin] / d0
-    u0 = g2[lin] * da / d0
-    n[lin] = e2[lin] / ((kap + gam0) ** 2 + (dc - u0) ** 2)
-    c3, c2, c1, c0 = _cubic_coeffs(g2[~lin], e2[~lin], kap, da, dc)
-    a = c2 / c3
-    b = c1 / c3
-    c = c0 / c3
-    p = b - a * a / 3.0
-    q = 2.0 * a**3 / 27.0 - a * b / 3.0 + c
-    shift = -a / 3.0
-    scale = np.maximum(np.sqrt(np.abs(p)), np.cbrt(np.abs(q)))
-    scale = np.where(scale == 0.0, 1.0, scale)
-    p = p / (scale * scale)
-    q = q / (scale * scale * scale)
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    three = disc < 0.0
-    t = np.empty_like(q)
-    pm, qm = p[three], q[three]
-    m = 2.0 * np.sqrt(-pm / 3.0)
-    phi = np.arccos(np.clip(3.0 * qm / (pm * m), -1.0, 1.0))
-    # of the three real roots the smallest is at angle (phi - 4*pi)/3
-    t[three] = m * np.cos((phi - 4.0 * math.pi) / 3.0)
-    ps, qs = p[~three], q[~three]
-    s = np.sqrt(np.maximum(disc[~three], 0.0))
-    # the large-magnitude cube root first, to avoid cancellation
-    t1 = np.cbrt(-qs / 2.0 - np.copysign(s, qs))
-    nz = t1 != 0.0
-    t[~three] = np.where(nz, t1 - ps / (3.0 * np.where(nz, t1, 1.0)), 0.0)
-    n[~lin] = np.maximum(t * scale + shift, 0.0)
-    return n
+    gam0 = g2 / d0
+    n_lin = e2 / ((kap + gam0) ** 2 + (dc - gam0 * da) ** 2)
+    a = kap * kap + dc * dc
+    b = kap - dc * da - e2
+    disc = b * b - a * d0
+    # a positive root needs b < 0, where -b + sqrt(disc) does not cancel
+    n_sat = ((b < 0.0) & (disc >= 0.0)) * ((abs(disc) ** 0.5 - b) / (2.0 * a))
+    return n_lin, n_sat
+
+
+def _bracketed_root(neg, pos, n, g2, e2, kap, da, dc):
+    """The root of f between neg and pos, f(neg) <= 0 <= f(pos), by Newton from n.
+
+    neg and pos come in either order.  Each evaluation of f moves one end
+    of the bracket, and a Newton step that would leave it bisects instead.
+    As in _lower_branch's cold start, N takes one more step after it first
+    passes the root test and must pass again; a passing N is kept where that
+    step would not move it or the bracket has closed.  Raises
+    NoPhysicalRoot if the bracket closes, or _BRACKET_ITERS steps pass,
+    before a root passes.
+    """
+    passed = False
+    for _ in range(_BRACKET_ITERS):
+        f, fp = _residual_scaled(n, g2, e2, kap, da, dc)
+        ok = not _unconverged(f, e2)
+        step = n - f / fp if fp != 0.0 else n
+        if ok and (passed or step == n):
+            return n
+        passed = ok
+        if f < 0.0:
+            neg = n
+        else:
+            pos = n
+        if not (step - neg) * (step - pos) < 0.0:  # not strictly inside
+            step = 0.5 * (neg + pos)
+            if step == neg or step == pos:  # no float left between the ends
+                if ok:
+                    return n
+                break
+        n = step
+    raise NoPhysicalRoot(f"no stationary root passed in its bracket, last N={n:.6g}")
+
+
+def _roots_scaled(g2, e2, kap, da, dc):
+    """Distinct non-negative roots of the scaled stationary equation, ascending.
+
+    Every root lies in [0, e2/kap^2].  Where _may_be_bistable flags the
+    cubic, its critical points, the roots of 3*c3*N^2 + 2*c2*N + c1 (both
+    positive when c2 < 0 < c1), split that bracket into monotone pieces;
+    elsewhere it is one piece.  A piece whose ends differ in the sign of f
+    holds exactly one root, _bracketed_root's.  A single piece starts from
+    the start of _two_limits; of several, the lowest starts from n_lin,
+    the highest from n_sat, and the middle one, which holds a root when
+    both others do, from the product of the three roots, -c0/c3.  Each
+    root must pass the root test again, or NoPhysicalRoot is raised.
+    """
+    if e2 == 0.0:
+        return [0.0]
+    cap = e2 / (kap * kap)
+    n_lin, n_sat = _two_limits(g2, e2, kap, da, dc)
+    crit = []
+    if _may_be_bistable(g2, e2, kap, da, dc):
+        c3, c2, c1, c0 = _cubic_coeffs(g2, e2, kap, da, dc)
+        disc = c2 * c2 - 3.0 * c3 * c1
+        q = math.sqrt(max(disc, 0.0)) - c2  # stable quadratic formula: c2 < 0 does not cancel
+        if disc > 0.0 and q > 0.0:
+            crit = [x for x in (c1 / q, q / (3.0 * c3)) if 0.0 < x < cap]
+    if not crit:
+        found = [_bracketed_root(0.0, cap, min(max(n_lin, n_sat), cap), g2, e2, kap, da, dc)]
+    else:
+        ends = [0.0, *crit, cap]
+        signs = [-1]
+        for x in crit:
+            f = _residual_scaled(x, g2, e2, kap, da, dc)[0]
+            signs.append(1 if f > 0.0 else -1 if f < 0.0 else 0)
+        signs.append(1)
+        last = len(crit)
+        by_piece = {}
+        for k in (0, last, 1)[: last + 1]:  # the middle piece, if any, last
+            if signs[k] * signs[k + 1] > 0:
+                continue
+            lo, hi = ends[k], ends[k + 1]
+            if k == 0:
+                n = n_lin
+            elif k == last:
+                n = n_sat
+            elif len(by_piece) == 2:
+                # -c0/c3 is a product of positive factors and does not cancel
+                n = -c0 / (c3 * by_piece[0] * by_piece[last])
+            else:
+                n = 0.5 * (lo + hi)
+            neg, pos = (lo, hi) if signs[k] < signs[k + 1] else (hi, lo)
+            by_piece[k] = _bracketed_root(neg, pos, min(max(n, lo), hi), g2, e2, kap, da, dc)
+        found = [by_piece[k] for k in sorted(by_piece)]
+    for n in found:
+        if _unconverged(_residual_scaled(n, g2, e2, kap, da, dc)[0], e2):
+            raise NoPhysicalRoot(f"N={n:.6g} is not a stationary root")
+    roots = [found[0]]
+    for r in found[1:]:
+        if r - roots[-1] <= _MERGE_RTOL * max(r, 1e-300):
+            warnings.warn(
+                "stationary roots separated by less than 1e-9 relative; "
+                "reporting them as a single branch",
+                IllConditionedRootsWarning,
+                stacklevel=3,
+            )
+            continue
+        roots.append(r)
+    return roots
 
 
 def _lower_branch(g2, e2, kap, da, dc, n_start=None):
     """Lower-branch photon numbers over broadcast arrays of couplings g2 and pumps e2.
 
     Newton starts from n_start (a stepper passes the previous step's
-    roots), or without one from _closed_form_lower.  An element stops
+    roots), or without one from the start of _two_limits.  An element stops
     updating once |f| <= _ROOT_RTOL * e2, so its result never depends on
     the other elements.  From a cold start an element takes one more
     Newton step after it first passes, which brings it to the scalar
@@ -296,7 +276,11 @@ def _lower_branch(g2, e2, kap, da, dc, n_start=None):
     root test.
     """
     cold = n_start is None
-    n = _closed_form_lower(g2, e2, kap, da, dc) if cold else n_start
+    if cold:
+        n_lin, n_sat = _two_limits(g2, e2, kap, da, dc)
+        n = np.minimum(np.maximum(n_lin, n_sat), e2 / (kap * kap))
+    else:
+        n = n_start
     d0 = da * da + 1.0
     two_g2 = 2.0 * g2
     pending = True  # from a cold start, an element steps once more after it passes
@@ -323,7 +307,7 @@ def _lower_branch(g2, e2, kap, da, dc, n_start=None):
         n = np.array(n, dtype=float)
         g2b, e2b = np.broadcast_arrays(g2, e2)
         for i in np.flatnonzero(redo):
-            n.flat[i] = _roots_scaled(g2b.flat[i], e2b.flat[i], kap, da, dc)[0]
+            n.flat[i] = _roots_scaled(float(g2b.flat[i]), float(e2b.flat[i]), kap, da, dc)[0]
     return n
 
 

@@ -138,8 +138,8 @@ def test_grid_roots_pass_the_residual_test_or_are_the_scalar_branch(fallbacks):
 
 def test_grid_never_returns_a_bad_batched_root(monkeypatch, narrow_cavity):
     # a corrupt Newton start and no Newton iterations: no element converges
-    start = steady_state._closed_form_lower
-    monkeypatch.setattr(steady_state, "_closed_form_lower", lambda *a: 1.5 * start(*a))
+    limits = steady_state._two_limits
+    monkeypatch.setattr(steady_state, "_two_limits", lambda *a: tuple(1.5 * x for x in limits(*a)))
     monkeypatch.setattr(steady_state, "_TRACK_ITERS", 0)
     schemes = (
         (AtomParams(), saturation_pump),

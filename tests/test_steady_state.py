@@ -2,7 +2,7 @@
 
 The dense-scan oracle brackets sign changes of the implicit stationary
 residual on a fine photon-number grid and polishes each bracket with
-Brent's method -- no shared code with the production cubic path.
+Brent's method -- no shared code with the production solver.
 """
 import math
 import warnings
@@ -249,12 +249,18 @@ detunings = st.floats(min_value=-300.0, max_value=300.0)
 pumps = st.floats(min_value=1e3, max_value=1e12)
 
 
-# strong saturation of a resonant, lossless cavity: one root, which the
+# strong saturation of a resonant, lossless cavity: one root, which a
 # closed-form cubic loses to cancellation
 CORNER_EXAMPLES = [
     (30.0, 0.109375, 0.0, 0.0, 0.0, 985791632184.0),
     (31.0, 0.109375, 0.0, 0.0, 0.0, 709406480656.0),
 ]
+# likewise, with one real root near N = 14680 where the cubic's discriminant
+# rounds to zero: Cardano's formula gives a phantom double root near
+# N = 0.003, at a local maximum of f below zero
+ZERO_DISCRIMINANT_CASE = (
+    37.73909758057446, 0.11007345936385272, 0.0, 0.0, 0.0, 10171988814.799347,
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,6 +274,7 @@ CORNER_EXAMPLES = [
 )
 @example(*CORNER_EXAMPLES[0])
 @example(*CORNER_EXAMPLES[1])
+@example(*ZERO_DISCRIMINANT_CASE)
 def test_root_invariants(g, kt, kl, da, dc, j):
     atom = AtomParams(delta_a=da * MHZ)
     cavity = CavityParams(g_max=g * MHZ, kappa_t=kt * MHZ, kappa_loss=kl * MHZ, delta_c=dc * MHZ)
@@ -308,6 +315,7 @@ saturation_corner = st.tuples(
 @given(case=st.one_of(solver_domain, saturation_corner))
 @example(case=CORNER_EXAMPLES[0])
 @example(case=CORNER_EXAMPLES[1])
+@example(case=ZERO_DISCRIMINANT_CASE)
 def test_batched_lower_branch_is_the_scalar_lower_root(case):
     g, kt, kl, da, dc, j = case
     atom = AtomParams(delta_a=da * MHZ)
@@ -346,6 +354,83 @@ def test_batched_lower_branch_is_the_scalar_lower_root(case):
         n_cold = steady_state._lower_branch(g2[:-1], e2, kap, da_s, dc_s)
         n_warm = steady_state._lower_branch(g2[1:], e2, kap, da_s, dc_s, n_cold)
         check(n_warm, g_values[1:], j, warm=True)
+
+
+def test_one_root_where_the_discriminant_rounds_to_zero(atom):
+    g, kt, kl, _, dc, j = ZERO_DISCRIMINANT_CASE
+    cavity = CavityParams(g_max=g * MHZ, kappa_t=kt * MHZ, kappa_loss=kl * MHZ, delta_c=dc * MHZ)
+    drive = DriveParams(j_in=j, tau=1e-5)
+    expected = oracle_roots(atom, cavity, drive, cavity.g_max)
+    got = stationary_photon_numbers(atom, cavity, drive)
+    assert len(expected) == 1
+    assert len(got) == 1
+    assert got[0] == pytest.approx(expected[0], rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(solver_domain, saturation_corner))
+@example(case=CORNER_EXAMPLES[0])
+@example(case=CORNER_EXAMPLES[1])
+def test_cold_start_leaves_only_screened_elements_to_the_scalar_solver(case):
+    # from the two-limit start, Newton converges on every element that
+    # _may_be_bistable does not flag, so only flagged ones fall back
+    g, kt, kl, da, dc, j = case
+    atom = AtomParams(delta_a=da * MHZ)
+    cavity = CavityParams(g_max=g * MHZ, kappa_t=kt * MHZ, kappa_loss=kl * MHZ, delta_c=dc * MHZ)
+    drive = DriveParams(j_in=j, tau=1e-5)
+    handed = []
+    scalar = steady_state._roots_scaled
+
+    def spy(*args):
+        handed.append(args)
+        return scalar(*args)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mp.setattr(steady_state, "_roots_scaled", spy)
+        stationary_scan(atom, cavity, drive, np.linspace(0.0, cavity.g_max, 64))
+        _stationary_pump_scan(atom, cavity, j * np.logspace(-2, 0, 33))
+    assert all(_may_be_bistable(*args) for args in handed)
+
+
+def test_roots_either_side_of_the_folds(atom, narrow_cavity):
+    # the bistable pump range ends where the residual at one of the cubic's
+    # critical points changes sign: at the upper one the upper branch
+    # appears, at the lower one the lower branch ends
+    gam = atom.gamma
+    g2, kap = (narrow_cavity.g_max / gam) ** 2, narrow_cavity.kappa / gam
+
+    def f_at_critical_point(j, sign):
+        c3, c2, c1, _ = _cubic_coeffs(g2, j * narrow_cavity.kappa_t / gam**2, kap, 0.0, 0.0)
+        n = (-c2 + sign * math.sqrt(c2 * c2 - 3.0 * c3 * c1)) / (3.0 * c3)
+        return residual(n, atom, narrow_cavity, DriveParams(j, 1e-5), narrow_cavity.g_max)
+
+    def fold(sign, lo, hi):
+        lo_positive = f_at_critical_point(lo, sign) > 0.0
+        for _ in range(60):
+            mid = math.sqrt(lo * hi)
+            if (f_at_critical_point(mid, sign) > 0.0) == lo_positive:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    low_fold = fold(1.0, 70e6, 120e6)
+    high_fold = fold(-1.0, 120e6, 300e6)
+    assert 70e6 < low_fold < 80e6 and 200e6 < high_fold < 220e6
+    cases = [
+        (low_fold * (1 - 1e-6), 1),
+        (low_fold * (1 + 1e-6), 3),
+        (high_fold * (1 - 1e-6), 3),
+        (high_fold * (1 + 1e-6), 1),
+    ]
+    for j, count in cases:
+        drive = DriveParams(j, 1e-5)
+        got = stationary_photon_numbers(atom, narrow_cavity, drive)
+        expected = oracle_roots(atom, narrow_cavity, drive, narrow_cavity.g_max)
+        assert len(got) == len(expected) == count
+        for a, b in zip(got, expected):
+            assert a == pytest.approx(b, rel=1e-6)
 
 
 @settings(max_examples=150, deadline=None)
@@ -405,7 +490,8 @@ def test_population_and_coherence_bounds(g, kt, kl, da, dc, j):
 )
 def test_tiny_root_beside_large_roots(g, kt, da, dc):
     # far-detuned weak pump: the physical root (~1e-10 photons) is many
-    # orders below the cubic's other roots and must survive the shift
+    # orders below the cubic's other roots, which a closed-form cubic loses
+    # to cancellation against its shift -c2/(3*c3)
     atom = AtomParams(delta_a=da * MHZ)
     cavity = CavityParams(g_max=g * MHZ, kappa_t=kt * MHZ, kappa_loss=0.0, delta_c=dc * MHZ)
     drive = DriveParams(j_in=1000.0, tau=1e-5)

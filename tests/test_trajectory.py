@@ -460,10 +460,10 @@ def test_recoil_solve_guard_falls_back_where_bistable(monkeypatch, atom, guide):
 
 
 def test_recoil_fallback_that_is_not_a_root_raises(monkeypatch, atom, guide):
-    polish = steady_state._newton_polish
-    monkeypatch.setattr(steady_state, "_newton_polish", lambda *args: 1.5 * polish(*args))
+    solve = steady_state._bracketed_root
+    monkeypatch.setattr(steady_state, "_bracketed_root", lambda *args: 1.5 * solve(*args))
     sim = SimConfig(seed=0, duration=40 * US)
-    # raised by the scalar solver's residual check of its polished roots
+    # raised by the scalar solver's residual check of its bracketed roots
     with pytest.raises(NoPhysicalRoot, match="not a stationary root"):
         simulate_trajectory(atom, STRONG_CAVITY, STRONG_DRIVE, guide, sim, trajectory_rng(0, 2))
 

@@ -28,6 +28,7 @@ from .params import AtomParams, CavityParams, DriveParams, cooperativity
 from .resonant_detection import _detected_photons, output_photons
 from .steady_state import (
     _atom_response,
+    _pump_root,
     _stationary_pump_scan,
     empty_cavity_state,
     solve_stationary,
@@ -141,11 +142,20 @@ def dispersive_saturation_pump(atom: AtomParams, cavity: CavityParams) -> float:
     return n_sat * cavity.kappa**2 / cavity.kappa_t
 
 
-def _snr_hom_over_pump(atom: AtomParams, cavity: CavityParams, j, tau: float):
-    """homodyne_report(...).snr at each pump rate of the array j, from one batched solve."""
-    n = _stationary_pump_scan(atom, cavity, j)
+def _snr_hom_from_n(atom: AtomParams, cavity: CavityParams, n, tau: float):
+    """S_hom at g_max for the lower-branch photon number n, a float or an array."""
     _, _, light_shift = _atom_response(n, cavity.g_max, atom)
     return _phase_and_snr(light_shift, cavity.kappa, _detected_photons(n, cavity, tau))[1]
+
+
+def _snr_hom_over_pump(atom: AtomParams, cavity: CavityParams, j, tau: float):
+    """homodyne_report(...).snr at each pump rate of the array j, from one batched solve."""
+    return _snr_hom_from_n(atom, cavity, _stationary_pump_scan(atom, cavity, j), tau)
+
+
+def _snr_hom_at_pump(atom: AtomParams, cavity: CavityParams, j: float, tau: float) -> float:
+    """homodyne_report(...).snr at one pump rate j, to the last bit, without the report."""
+    return float(_snr_hom_from_n(atom, cavity, _pump_root(atom, cavity, j), tau))
 
 
 def max_snr_hom_over_pump(
@@ -156,22 +166,27 @@ def max_snr_hom_over_pump(
     per_decade: int = 61,
     polish: bool = True,
 ) -> tuple[float, float]:
-    """Maximize S_hom over the pump rate; returns (j_in, snr)."""
+    """Maximize S_hom over the pump rate; returns (j_in, snr).
+
+    The scan grid is log-spaced, n_decades wide and centered on the
+    dispersive saturation pump; it is solved in one batched call.  A Brent
+    polish (optimize.golden_max) refines the best grid point on the scalar
+    lower root and the SNR arithmetic of homodyne_report, to the last bit,
+    without building a report.  Where the best grid point is a range end,
+    the polish runs only if the objective one polish tolerance inside that
+    end is at least its value there (see optimize.max_on_log_grid); an
+    optimum returned at the top of the range is bounded by n_decades and
+    not flagged.
+    """
     check_dispersive(atom, cavity)
     j_sat = dispersive_saturation_pump(atom, cavity)
-    lo = j_sat * 10.0 ** (-0.5 * n_decades)
-    hi = j_sat * 10.0 ** (0.5 * n_decades)
-
-    def objective(j):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SmallDetuningWarning)
-            return homodyne_report(atom, cavity, DriveParams(j_in=j, tau=tau)).snr
-
-    def grid_objective(j):
-        return _snr_hom_over_pump(atom, cavity, j, tau)
-
     return max_on_log_grid(
-        objective, lo, hi, per_decade=per_decade, polish=polish, f_grid=grid_objective
+        lambda j: _snr_hom_at_pump(atom, cavity, j, tau),
+        j_sat * 10.0 ** (-0.5 * n_decades),
+        j_sat * 10.0 ** (0.5 * n_decades),
+        per_decade=per_decade,
+        polish=polish,
+        f_grid=lambda j: _snr_hom_over_pump(atom, cavity, j, tau),
     )
 
 

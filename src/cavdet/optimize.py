@@ -15,6 +15,7 @@ from .errors import NoMaximumInBounds
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of the larger part
 _GRID_RTOL = 1e-6  # grid points this close to a grid objective's maximum are rescored with f
+_POLISH_RTOL = 1e-10  # golden_max's rel_tol for the polish, in log x
 
 
 def golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6, max_iter: int = 200):
@@ -98,6 +99,13 @@ def max_on_log_grid(
     step of the best point.  Robust against the mild multimodality that
     fold points introduce.  Returns (x, f(x)).
 
+    Where the best grid point is lo or hi, f is evaluated once, one polish
+    tolerance (1e-10*(|log a| + |log b|) for the bracket [a, b] in log x)
+    inside that end; unless f there is at least f at the end, the end is
+    returned without a polish.  A maximum inside the end interval is still
+    polished; a returned end only says that f rises towards it, so such an
+    optimum is bounded by the range.
+
     f_grid, if given, evaluates f over the whole grid array in one call;
     by default f is mapped over the grid.  A grid objective only has to
     agree with f to rounding: the best grid point is chosen by f's own
@@ -120,11 +128,16 @@ def max_on_log_grid(
     i, f_i = int(top[k]), vals[k]
     if not polish:
         return float(grid[i]), float(f_i)
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, n - 1)]
+    a = math.log(grid[max(i - 1, 0)])
+    b = math.log(grid[min(i + 1, n - 1)])
     if b <= a:
         return float(grid[i]), float(f_i)
-    x_log, fx = golden_max(lambda u: f(math.exp(u)), math.log(a), math.log(b), rel_tol=1e-10)
+    if i in (0, n - 1):
+        # a range end: polish only if f does not fall one tolerance inside it
+        inside = _POLISH_RTOL * (abs(a) + abs(b))
+        if not f(math.exp(a + inside if i == 0 else b - inside)) >= f_i:
+            return float(grid[i]), float(f_i)
+    x_log, fx = golden_max(lambda u: f(math.exp(u)), a, b, rel_tol=_POLISH_RTOL)
     x = math.exp(x_log)
     if fx >= f_i:
         return x, fx

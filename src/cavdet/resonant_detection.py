@@ -23,6 +23,7 @@ from .params import AtomParams, CavityParams, DriveParams, cooperativity
 from .steady_state import (
     StationaryState,
     _empty_photons_over_pump,
+    _pump_root,
     _stationary_pump_scan,
     empty_cavity_state,
     solve_stationary,
@@ -184,6 +185,38 @@ def _snr_over_pump(atom: AtomParams, cavity: CavityParams, j, tau: float):
     return _intensity_snr(n_out_empty, n_out_atom)
 
 
+def _snr_at_pump(atom: AtomParams, cavity: CavityParams, j: float, tau: float) -> float:
+    """intensity_report(...).snr at one pump rate j, to the last bit, without the report.
+
+    The empty-cavity count is empty_cavity_state's |eta/(kappa - i*delta_c)|^2,
+    which rounds unlike the grid's eta^2/(kappa^2 + delta_c^2).
+    """
+    n_empty = abs(math.sqrt(j * cavity.kappa_t) / (cavity.kappa - 1j * cavity.delta_c)) ** 2
+    n_out_empty = _detected_photons(n_empty, cavity, tau)
+    n_out_atom = _detected_photons(_pump_root(atom, cavity, j), cavity, tau)
+    return float(_intensity_snr(n_out_empty, n_out_atom))
+
+
+def _best_pump(
+    atom: AtomParams,
+    cavity: CavityParams,
+    tau: float,
+    n_decades: float = 4.0,
+    per_decade: int = 61,
+    polish: bool = True,
+) -> tuple[float, float]:
+    """(j_in, snr) at the optimum of max_snr_over_pump, without its report."""
+    j_sat = saturation_pump(atom, cavity)
+    return max_on_log_grid(
+        lambda j: _snr_at_pump(atom, cavity, j, tau),
+        j_sat * 10.0 ** (-0.5 * n_decades),
+        j_sat * 10.0 ** (0.5 * n_decades),
+        per_decade=per_decade,
+        polish=polish,
+        f_grid=lambda j: _snr_over_pump(atom, cavity, j, tau),
+    )
+
+
 def max_snr_over_pump(
     atom: AtomParams,
     cavity: CavityParams,
@@ -194,24 +227,20 @@ def max_snr_over_pump(
 ) -> PumpOptimum:
     """Maximize the resonant SNR over the pump rate.
 
-    The scan grid is log-spaced and centered on the saturation pump, where
-    the optimum sits; a Brent polish (optimize.golden_max) refines the best
-    grid point.
+    The scan grid is log-spaced, n_decades wide and centered on the
+    saturation pump, where the optimum sits at weak coupling; it is solved
+    in one batched call.  A Brent polish (optimize.golden_max) refines the
+    best grid point on the scalar lower root and the SNR arithmetic of
+    intensity_report, without building a report; only the returned
+    optimum's report is built.  Where the best grid point is a range end,
+    the polish runs only if the objective one polish tolerance inside that
+    end is at least its value there (see optimize.max_on_log_grid).  At
+    strong coupling the SNR can still rise at the top of the range: the
+    optimum returned there is the range end, bounded by n_decades and not
+    flagged.
     """
     check_resonant(atom, cavity)
-    j_sat = saturation_pump(atom, cavity)
-    lo = j_sat * 10.0 ** (-0.5 * n_decades)
-    hi = j_sat * 10.0 ** (0.5 * n_decades)
-
-    def objective(j):
-        return intensity_report(atom, cavity, DriveParams(j_in=j, tau=tau)).snr
-
-    def grid_objective(j):
-        return _snr_over_pump(atom, cavity, j, tau)
-
-    j_opt, _ = max_on_log_grid(
-        objective, lo, hi, per_decade=per_decade, polish=polish, f_grid=grid_objective
-    )
+    j_opt, _ = _best_pump(atom, cavity, tau, n_decades, per_decade, polish)
     report = intensity_report(atom, cavity, DriveParams(j_in=j_opt, tau=tau))
     return PumpOptimum(j_in=j_opt, snr=report.snr, report=report)
 
@@ -231,8 +260,7 @@ def optimal_kappa_t(
     check_resonant(atom, cavity)
 
     def pump_max(trial, per_decade):
-        best = max_snr_over_pump(atom, trial, drive.tau, per_decade=per_decade)
-        return best.j_in, best.snr
+        return _best_pump(atom, trial, drive.tau, per_decade=per_decade)
 
     return max_over_kappa_t(pump_max, cavity, bounds, rel_tol)
 

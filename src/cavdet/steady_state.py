@@ -311,6 +311,21 @@ def _lower_branch(g2, e2, kap, da, dc, n_start=None):
     return n
 
 
+def _scaled(atom: AtomParams, cavity: CavityParams, g, j_in):
+    """The Gamma-scaled solver arguments (g2, e2, kap, da, dc) at coupling g and pump rate j_in.
+
+    g and j_in may be floats or arrays that broadcast.
+    """
+    gam = atom.gamma
+    return (
+        (g / gam) ** 2,
+        j_in * cavity.kappa_t / gam**2,
+        cavity.kappa / gam,
+        atom.delta_a / gam,
+        cavity.delta_c / gam,
+    )
+
+
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
@@ -320,12 +335,7 @@ def stationary_photon_numbers(
 ) -> tuple[float, ...]:
     """All distinct non-negative stationary photon numbers, ascending."""
     g = cavity.g_max if g_local is None else g_local
-    gam = atom.gamma
-    eta2 = drive.j_in * cavity.kappa_t
-    roots = _roots_scaled(
-        (g / gam) ** 2, eta2 / gam**2, cavity.kappa / gam, atom.delta_a / gam, cavity.delta_c / gam
-    )
-    return tuple(roots)
+    return tuple(_roots_scaled(*_scaled(atom, cavity, g, drive.j_in)))
 
 
 def _atom_response(n, g, atom: AtomParams):
@@ -402,12 +412,16 @@ def _stationary_pump_scan(
     not converge, it is the photon number of solve_stationary at that pump
     rate.
     """
-    gam = atom.gamma
-    eta2 = np.asarray(j_values, dtype=float) * cavity.kappa_t
-    g2 = (cavity.g_max / gam) ** 2
-    return _lower_branch(
-        g2, eta2 / gam**2, cavity.kappa / gam, atom.delta_a / gam, cavity.delta_c / gam
-    )
+    return _lower_branch(*_scaled(atom, cavity, cavity.g_max, np.asarray(j_values, dtype=float)))
+
+
+def _pump_root(atom: AtomParams, cavity: CavityParams, j_in: float) -> float:
+    """solve_stationary(...).n_photons at g_max and pump rate j_in, without building the state.
+
+    The scalar counterpart of _stationary_pump_scan: the lower root of
+    _roots_scaled, to the last bit.
+    """
+    return _roots_scaled(*_scaled(atom, cavity, cavity.g_max, j_in))[0]
 
 
 def stationary_scan(
@@ -420,12 +434,7 @@ def stationary_scan(
     not converge, it is the photon number of solve_stationary at that
     coupling.
     """
-    gam = atom.gamma
-    g2 = (np.asarray(g_values, dtype=float) / gam) ** 2
-    eta2 = drive.j_in * cavity.kappa_t
-    return _lower_branch(
-        g2, eta2 / gam**2, cavity.kappa / gam, atom.delta_a / gam, cavity.delta_c / gam
-    )
+    return _lower_branch(*_scaled(atom, cavity, np.asarray(g_values, dtype=float), drive.j_in))
 
 
 def integrate_bloch(

@@ -1,6 +1,7 @@
 """Scalar maximization helpers."""
 import math
 
+import numpy as np
 import pytest
 
 from cavdet import NoMaximumInBounds
@@ -66,3 +67,35 @@ def test_golden_max_treats_nan_as_worst():
     assert x == pytest.approx(0.8, abs=1e-7)
     with pytest.raises(NoMaximumInBounds):
         golden_max(lambda x: float("nan"), 0.0, 1.0, rel_tol=1e-10)
+
+
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+@pytest.mark.parametrize("peak", [1.97, 0.03])
+def test_max_on_log_grid_polishes_a_maximum_inside_an_end_interval(peak):
+    # 11 points per decade on [1, 100]: the grid's best point is the end
+    # nearest the peak, and the peak lies inside that end's grid interval
+    f = lambda x: -((math.log10(x) - peak) ** 2)
+    grid = np.logspace(0.0, 2.0, 23)
+    assert int(np.argmax([f(x) for x in grid])) in (0, len(grid) - 1)
+    x, fx = max_on_log_grid(f, 1.0, 100.0, per_decade=11)
+    assert x == pytest.approx(10**peak, rel=1e-8)
+    assert fx == f(x)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_max_on_log_grid_returns_a_range_end_after_one_probe(sign):
+    # a monotone f: the end itself, with one evaluation beyond the grid
+    f, calls = _counted(lambda x: sign * x)
+    x, fx = max_on_log_grid(f, 1.0, 100.0, per_decade=11)
+    end = 100.0 if sign > 0 else 1.0
+    assert x == end and fx == sign * end
+    assert len(calls) == 23 + 1

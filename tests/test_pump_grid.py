@@ -1,10 +1,12 @@
 """Batched pump grids: the verified grid solve and the grid objectives of both SNR optimizers.
 
 Each pump maximizer evaluates its grid with one batched solve
-(_stationary_pump_scan) and keeps the polish (Brent's method) and the final
-report on the scalar path.  The references here are the scalar reports,
-and the same maximizers with the scalar objective mapped over the grid.
+(_stationary_pump_scan) and keeps the polish (Brent's method) on the scalar
+lower root, and the final report on the scalar path.  The references here
+are the scalar reports, and the same maximizers with the scalar objective
+mapped over the grid.
 """
+import math
 import warnings
 from dataclasses import replace
 
@@ -262,3 +264,57 @@ def test_optimal_kappa_t_halves_the_scalar_solves(fallbacks, main_cavity):
     # the golden-section search made 915 scalar root solves here
     optimal_kappa_t(ATOM_RESONANT, main_cavity, SWEEP_DRIVE)
     assert len(fallbacks) <= 915 // 2
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """solve_stationary calls, and (lo, hi, x, objective evaluations) of each pump maximization."""
+    seen = {"solves": 0, "maximizations": []}
+    solve, grid = steady_state.solve_stationary, optimize.max_on_log_grid
+
+    def spy_solve(*args, **kwargs):
+        seen["solves"] += 1
+        return solve(*args, **kwargs)
+
+    def spy_grid(f, lo, hi, *args, **kwargs):
+        evaluations = []
+
+        def counted(x):
+            evaluations.append(x)
+            return f(x)
+
+        x, fx = grid(counted, lo, hi, *args, **kwargs)
+        seen["maximizations"].append((lo, hi, x, len(evaluations)))
+        return x, fx
+
+    for module in (steady_state, resonant_detection, homodyne_detection):
+        monkeypatch.setattr(module, "solve_stationary", spy_solve)
+    for module in (resonant_detection, homodyne_detection):
+        monkeypatch.setattr(module, "max_on_log_grid", spy_grid)
+    return seen
+
+
+@pytest.mark.parametrize("cavity", SWEEP, ids=[f"sweep{i}" for i in range(len(SWEEP))])
+def test_optimizers_build_no_report_but_the_returned_one(calls, cavity):
+    # the polish and the kappa_t search evaluate the SNR from the scalar
+    # root; a report is built only for max_snr_over_pump's result
+    for kw in ({}, {"n_decades": 3.0, "per_decade": 31}, {"polish": False}):
+        calls["solves"] = 0
+        max_snr_over_pump(ATOM_RESONANT, cavity, TAU, **kw)
+        assert calls["solves"] == 1
+        max_snr_hom_over_pump(ATOM_DISPERSIVE, cavity, TAU, **kw)
+        assert calls["solves"] == 1
+    calls["solves"] = 0
+    optimal_kappa_t_homodyne(ATOM_DISPERSIVE, cavity, SWEEP_DRIVE)
+    calls["maximizations"].clear()
+    optimal_kappa_t(ATOM_RESONANT, cavity, SWEEP_DRIVE)
+    assert calls["solves"] == 0
+    if cavity.g_max == 30 * MHZ:
+        # the resonant SNR still rises at the top of the pump range here: an
+        # optimum at a range end costs the rescored grid point and one probe
+        at_end = [
+            n
+            for lo, hi, x, n in calls["maximizations"]
+            if math.isclose(x, lo, rel_tol=1e-12) or math.isclose(x, hi, rel_tol=1e-12)
+        ]
+        assert at_end and max(at_end) <= 2

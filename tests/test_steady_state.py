@@ -6,6 +6,7 @@ Brent's method -- no shared code with the production solver.
 """
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from cavdet import (
     DriveParams,
     StepTooLarge,
     empty_cavity_state,
+    homodyne_report,
     integrate_bloch,
+    intensity_report,
     solve_stationary,
     stationary_photon_numbers,
     stationary_scan,
 )
-from cavdet import steady_state
+from cavdet import homodyne_detection, resonant_detection, steady_state
 from cavdet.steady_state import _cubic_coeffs, _may_be_bistable, _stationary_pump_scan
 
 
@@ -391,6 +394,34 @@ def test_cold_start_leaves_only_screened_elements_to_the_scalar_solver(case):
         stationary_scan(atom, cavity, drive, np.linspace(0.0, cavity.g_max, 64))
         _stationary_pump_scan(atom, cavity, j * np.logspace(-2, 0, 33))
     assert all(_may_be_bistable(*args) for args in handed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(solver_domain, saturation_corner), asymmetric=st.booleans())
+@example(case=CORNER_EXAMPLES[0], asymmetric=False)
+@example(case=ZERO_DISCRIMINANT_CASE, asymmetric=True)
+def test_pump_objectives_are_the_reports_snr(case, asymmetric):
+    # the optimizers' polish evaluates these scalar objectives in place of
+    # the reports, and their results are the reports' only if this is ==
+    g, kt, kl, da, dc, j = case
+    cavity = CavityParams(
+        g_max=g * MHZ,
+        kappa_t=kt * MHZ,
+        kappa_loss=kl * MHZ,
+        delta_c=dc * MHZ,
+        asymmetric_input=asymmetric,
+    )
+    drive = DriveParams(j_in=j, tau=1e-5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        resonant = AtomParams(delta_a=da * MHZ)
+        expected = intensity_report(resonant, cavity, drive).snr
+        assert resonant_detection._snr_at_pump(resonant, cavity, j, drive.tau) == expected
+        # homodyne detection pumps on the cavity line, with the atom detuned
+        dispersive = AtomParams(delta_a=(da if abs(da) > 1e-6 else 1.0) * MHZ)
+        on_line = replace(cavity, delta_c=0.0)
+        expected = homodyne_report(dispersive, on_line, drive).snr
+        assert homodyne_detection._snr_hom_at_pump(dispersive, on_line, j, drive.tau) == expected
 
 
 def test_roots_either_side_of_the_folds(atom, narrow_cavity):

@@ -31,7 +31,6 @@ def main():
     ap.add_argument("--threshold", type=int, default=11)
     ap.add_argument("--window-us", type=float, default=8.0)
     ap.add_argument("--dark-windows", type=int, default=20000)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out-dir", default="out/transit")
     args = ap.parse_args()
 
@@ -62,7 +61,6 @@ def main():
         t0 = time.perf_counter()
         report = run_ensemble(
             atom, cavity, drive, guide, sim,
-            workers=args.threads,
             record_sink=lambda i, r: summary.append((r.m_scattered, int(r.click_times.size))),
         )
         wall = time.perf_counter() - t0

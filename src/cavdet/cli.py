@@ -1,7 +1,7 @@
 """Command-line front end: scans, the transit ensemble, and the design calculator.
 
 Every output is machine-readable (CSV with # metadata lines, or JSON) and
-byte-identical across runs and thread counts for a fixed config and seed.
+byte-identical across runs for a fixed config and seed.
 Exit codes: 0 success, 2 configuration error, 3 model/domain error or
 numerical failure.
 """
@@ -303,7 +303,6 @@ def _cmd_simulate(args) -> int:
                 cfg.drive,
                 cfg.guide,
                 sim,
-                workers=args.threads,
                 record_sink=sink,
             )
     except BaseException:
@@ -343,6 +342,10 @@ def _cmd_design_cavity(args) -> int:
         raise ConfigError("give exactly one of --length-mm or --length-half-waves")
     if (args.mode_index is None) == (args.gap_um is None):
         raise ConfigError("give exactly one of --mode-index or --gap-um")
+    if not (math.isfinite(args.extra_loss_mhz) and args.extra_loss_mhz >= 0):
+        raise ConfigError(
+            f"--extra-loss-mhz must be finite and non-negative, got {args.extra_loss_mhz}"
+        )
     n = args.n_core
     if args.length_mm is not None:
         length = args.length_mm * 1e-3
@@ -436,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", type=int, default=None)
     p.add_argument("--threshold", type=int, default=None)
     p.add_argument("--window-us", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="ignored: the ensemble runs in one process")
     p.add_argument("--decimate", type=int, default=20, help="trajectory CSV sampling step")
     p.set_defaults(func=_cmd_simulate)
 

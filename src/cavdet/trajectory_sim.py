@@ -19,7 +19,6 @@ the convention.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 import warnings
 
@@ -31,7 +30,9 @@ from .steady_state import _lower_branch, empty_cavity_state, stationary_scan
 
 PRESENCE_WAISTS = 3.0  # |y| within this many waists counts as "atom present"
 _DIP_SWEEP = (1, 2, 3, 4, 5)  # persistence conventions (in strides) for the dark-rate spread
-BLOCK_ATOMS = 128  # most atoms stepped together in one block
+# most atoms stepped together in one block: position, N and rho11 cost 40 B
+# per atom-step, so 2,001 steps x 512 atoms hold about 41 MB
+BLOCK_ATOMS = 512
 _STEP_BLOCK = 256  # steps of uniforms and normals an atom draws at a time
 
 
@@ -123,7 +124,7 @@ class DetectionReport:
 
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent per-trajectory stream; index-addressed, thread-count free."""
+    """Independent per-trajectory stream, addressed by (seed, index) alone."""
     return np.random.default_rng(np.random.SeedSequence([seed, 0, index]))
 
 
@@ -405,26 +406,9 @@ def simulate_block(
     ]
 
 
-def _block_records(args):
-    """Records of trajectories start..stop-1 of the ensemble.
-
-    Without recoil they come one at a time, so no block is held in memory.
-    """
-    atom, cavity, drive, guide, sim, start, stop = args
-    rngs = [trajectory_rng(sim.seed, i) for i in range(start, stop)]
-    if not sim.include_recoil:
-        return (simulate_trajectory(atom, cavity, drive, guide, sim, rng) for rng in rngs)
-    return simulate_block(atom, cavity, drive, guide, sim, rngs)
-
-
-def _pooled_block(args) -> list[TrajectoryRecord]:
-    return list(_block_records(args))
-
-
-def _blocks(n_atoms: int, workers: int) -> list[tuple[int, int]]:
-    """Fewest equal contiguous blocks of at most BLOCK_ATOMS, in a multiple of workers."""
+def _blocks(n_atoms: int) -> list[tuple[int, int]]:
+    """Fewest equal contiguous blocks of at most BLOCK_ATOMS."""
     count = -(-n_atoms // BLOCK_ATOMS)
-    count = min(n_atoms, -(-count // workers) * workers)
     edges = [k * n_atoms // count for k in range(count + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -562,26 +546,26 @@ def run_ensemble(
     drive: DriveParams,
     guide: GuideParams,
     sim: SimConfig,
-    workers: int = 1,
     record_sink=None,
 ) -> DetectionReport:
     """Simulate the ensemble and the dark stream; deterministic given sim.seed.
 
     Per-trajectory RNG streams are addressed by (seed, index), so the
-    report is byte-identical for any workers count.  The atoms run in
-    contiguous blocks (see _blocks) on at most min(workers, CPU count)
-    processes.  record_sink, if given, receives (index, TrajectoryRecord)
-    in index order.
+    report does not depend on how the atoms are split into blocks.  The
+    atoms run in process, in contiguous blocks (see _blocks).
+    record_sink, if given, receives (index, TrajectoryRecord) in index
+    order.
     """
     # the dark stream first: its large arrays are freed before any block is held
     rate, ci, conv = dark_rates(cavity, drive, sim)
-    workers = max(1, min(workers, os.cpu_count() or 1))
-    blocks = _blocks(sim.n_atoms, workers)
-    args = [(atom, cavity, drive, guide, sim, start, stop) for start, stop in blocks]
     detections = []
     m_values = np.empty(sim.n_atoms)
-
-    def consume(start, records):
+    for start, stop in _blocks(sim.n_atoms):
+        rngs = [trajectory_rng(sim.seed, i) for i in range(start, stop)]
+        if sim.include_recoil:
+            records = simulate_block(atom, cavity, drive, guide, sim, rngs)
+        else:  # one record at a time, so no block of records is held
+            records = (simulate_trajectory(atom, cavity, drive, guide, sim, rng) for rng in rngs)
         for index, record in enumerate(records, start):
             m_values[index] = record.m_scattered
             hit = _first_detection(record, cavity, sim)
@@ -589,19 +573,6 @@ def run_ensemble(
                 detections.append((index, hit))
             if record_sink is not None:
                 record_sink(index, record)
-
-    pool_size = min(workers, len(blocks))
-    if pool_size == 1:
-        for (start, _), arg in zip(blocks, args):
-            consume(start, _block_records(arg))
-    else:
-        # imported here: the process pool machinery costs every cold start
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            for (start, _), records in zip(blocks, pool.map(_pooled_block, args)):
-                consume(start, records)
-
     return DetectionReport(
         efficiency=len(detections) / sim.n_atoms,
         dark_rate=rate,

@@ -42,6 +42,7 @@ from cavdet import (
     stationary_photon_numbers,
     trajectory_rng,
 )
+from cavdet import trajectory_sim
 from cavdet.trajectory_sim import _poisson_times
 
 TAU = 10 * US
@@ -171,7 +172,7 @@ def test_criterion_7_transit_monte_carlo():
     print("criterion 7:", "; ".join(parts))
 
 
-def test_criterion_8_property_suite():
+def test_criterion_8_property_suite(monkeypatch):
     atom = AtomParams()
     parts = []
 
@@ -246,18 +247,19 @@ def test_criterion_8_property_suite():
     assert p > 0.01
     parts.append(f"inter-click KS p={p:.3f} > 0.01")
 
-    # (g) byte-identical ensemble results across worker counts
+    # (g) byte-identical ensemble results for one block and for several
     cavity = CavityParams(g_max=12 * MHZ, kappa_t=14 * MHZ, kappa_loss=14 * MHZ, waist=3 * UM)
     sim = SimConfig(seed=0, n_atoms=6, duration=40 * US, dark_windows=200)
     sinks = []
-    for workers in (1, 2):
+    for block_atoms in (6, 3, 1):
+        monkeypatch.setattr(trajectory_sim, "BLOCK_ATOMS", block_atoms)
         clicks_by_index = {}
         run_ensemble(
-            atom, cavity, DriveParams(10e6, TAU), GuideParams(), sim, workers=workers,
+            atom, cavity, DriveParams(10e6, TAU), GuideParams(), sim,
             record_sink=lambda i, r: clicks_by_index.__setitem__(i, r.click_times.tobytes()),
         )
         sinks.append(clicks_by_index)
-    assert sinks[0] == sinks[1]
-    parts.append("click streams byte-identical for 1 and 2 workers")
+    assert sinks[0] == sinks[1] == sinks[2]
+    parts.append("click streams byte-identical for blocks of 6, 3 and 1 atoms")
 
     print("criterion 8:", "; ".join(parts))

@@ -1,5 +1,7 @@
 """Config parsing, digests, and the command-line entry points."""
 import json
+import os
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -32,6 +34,7 @@ from cavdet.config import DEFAULTS
 from cavdet.errors import NoPhysicalRoot, StepTooLarge
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 MAIN = str(CONFIG_DIR / "main_cavity.json")
 TRANSIT = str(CONFIG_DIR / "transit.json")
 NARROW = str(CONFIG_DIR / "narrow_cavity.json")
@@ -441,6 +444,23 @@ def test_cli_simulate_thread_invariance(tmp_path):
     assert report["config"]["sim"]["n_atoms"] == 6
 
 
+def test_cli_simulate_threads_start_no_process_pool(tmp_path):
+    probe = (
+        "import sys; from cavdet.cli import run; "
+        f"code = run(['simulate', '--config', {TRANSIT!r}, '--out', {str(tmp_path)!r}, "
+        "'--atoms', '6', '--threads', '2']); "
+        "print(code, 'concurrent.futures.process' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert out.stdout.split()[-2:] == ["0", "False"]
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--threads", "0"), ("--threads", "-7"), ("--decimate", "-4"), ("--decimate", "0")]
 )
@@ -548,7 +568,15 @@ def test_cli_design_cavity_exclusive_options(tmp_path, extra):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--core-um", "inf"), ("--core-um", "-inf"), ("--length-mm", "nan"), ("--transmission", "nan")],
+    [
+        ("--core-um", "inf"),
+        ("--core-um", "-inf"),
+        ("--length-mm", "nan"),
+        ("--transmission", "nan"),
+        ("--extra-loss-mhz", "nan"),
+        ("--extra-loss-mhz", "inf"),
+        ("--extra-loss-mhz", "-5"),  # negative: less loss than the fiber gap alone
+    ],
 )
 def test_cli_design_cavity_rejects_non_finite(tmp_path, capsys, flag, value):
     args = {"--core-um": "5", "--length-mm": "10.4", flag: value}

@@ -1,6 +1,5 @@
 """Transit Monte Carlo: kinematics, click statistics, detection, determinism."""
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -288,15 +287,20 @@ def test_same_seed_reproduces_trajectory(atom, transit_cavity, transit_drive, gu
     assert r1.m_scattered == r2.m_scattered
 
 
-def test_worker_count_does_not_change_results(atom, transit_cavity, transit_drive, guide):
+def test_worker_count_does_not_change_results(
+    monkeypatch, atom, transit_cavity, transit_drive, guide
+):
+    # one block of 8 against the two blocks of 4 that two workers once ran
     sim = SimConfig(seed=0, n_atoms=8, duration=40 * US, dark_windows=200)
     sink1, sink2 = {}, {}
     rep1 = run_ensemble(
-        atom, transit_cavity, transit_drive, guide, sim, workers=1,
+        atom, transit_cavity, transit_drive, guide, sim,
         record_sink=lambda i, r: sink1.__setitem__(i, r),
     )
+    monkeypatch.setattr(trajectory_sim, "BLOCK_ATOMS", 4)
+    assert trajectory_sim._blocks(8) == [(0, 4), (4, 8)]
     rep2 = run_ensemble(
-        atom, transit_cavity, transit_drive, guide, sim, workers=2,
+        atom, transit_cavity, transit_drive, guide, sim,
         record_sink=lambda i, r: sink2.__setitem__(i, r),
     )
     assert rep1.efficiency == rep2.efficiency
@@ -323,77 +327,47 @@ def _same_record(a, b):
 def test_trajectory_does_not_depend_on_its_block(
     monkeypatch, atom, transit_cavity, transit_drive, guide
 ):
-    # alone, inside one lockstep block of 80, and split over two processes;
-    # an atom that keeps updating after its Newton solve converged would
-    # differ here in the last bits
+    # alone, inside one lockstep block of 80, and in blocks of 40 and of
+    # 26-27; an atom that keeps updating after its Newton solve converged
+    # would differ here in the last bits
     sim = SimConfig(seed=3, n_atoms=80, duration=40 * US, dark_windows=100)
-    assert trajectory_sim._blocks(80, 1) == [(0, 80)]
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    sinks = {1: {}, 2: {}}
-    for workers, sink in sinks.items():
-        run_ensemble(
-            atom, transit_cavity, transit_drive, guide, sim, workers=workers,
-            record_sink=sink.__setitem__,
+    layouts = {80: [(0, 80)], 40: [(0, 40), (40, 80)], 27: [(0, 26), (26, 53), (53, 80)]}
+    sinks, reports = [], []
+    for block_atoms, blocks in layouts.items():
+        monkeypatch.setattr(trajectory_sim, "BLOCK_ATOMS", block_atoms)
+        assert trajectory_sim._blocks(80) == blocks
+        sink = {}
+        reports.append(
+            run_ensemble(
+                atom, transit_cavity, transit_drive, guide, sim, record_sink=sink.__setitem__
+            )
         )
+        sinks.append(sink)
+    for rep, sink in zip(reports[1:], sinks[1:]):
+        assert rep == reports[0]  # efficiency, dark rate, mean M and detections
+        assert list(sink) == list(sinks[0]) == list(range(80))
+        assert all(_same_record(sink[i], sinks[0][i]) for i in range(80))
+    assert reports[0].detections
     for i in (0, 1, 39, 40, 79):
         alone = simulate_trajectory(
             atom, transit_cavity, transit_drive, guide, sim, trajectory_rng(3, i)
         )
-        assert _same_record(alone, sinks[1][i])
-        assert _same_record(alone, sinks[2][i])
+        assert _same_record(alone, sinks[0][i])
 
 
-def test_blocks_are_equal_and_a_multiple_of_workers():
-    for n_atoms in (1, 7, 80, 128, 129, 500, 600):
-        for workers in (1, 2, 3):
-            blocks = trajectory_sim._blocks(n_atoms, workers)
+def test_blocks_are_equal_and_fewest(monkeypatch):
+    for block_atoms in (trajectory_sim.BLOCK_ATOMS, 128, 7):
+        monkeypatch.setattr(trajectory_sim, "BLOCK_ATOMS", block_atoms)
+        for n_atoms in (1, 7, 80, 128, 129, 500, 512, 513, 600, 1100):
+            blocks = trajectory_sim._blocks(n_atoms)
             sizes = [stop - start for start, stop in blocks]
             assert blocks[0][0] == 0 and blocks[-1][1] == n_atoms
             assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
             assert max(sizes) - min(sizes) <= 1
-            assert max(sizes) <= trajectory_sim.BLOCK_ATOMS
-            assert len(blocks) % workers == 0 or len(blocks) == n_atoms
-            # the fewest such blocks: one block fewer would break a rule
-            fewer = len(blocks) - workers
-            assert fewer < 1 or -(-n_atoms // fewer) > trajectory_sim.BLOCK_ATOMS
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable):
-        return map(fn, iterable)
-
-
-@pytest.mark.parametrize(
-    "n_atoms, workers, cpus, pool",
-    [(80, 64, 4, 4), (3, 64, 4, 3), (6, 2, 1, None), (6, 3, 8, 3)],
-)
-def test_worker_pool_is_clamped(
-    monkeypatch, atom, transit_cavity, transit_drive, guide, n_atoms, workers, cpus, pool
-):
-    import concurrent.futures
-
-    _RecordingPool.sizes = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    sim = SimConfig(
-        seed=0, n_atoms=n_atoms, include_recoil=False, duration=16 * US, dark_windows=20
-    )
-    rep = run_ensemble(atom, transit_cavity, transit_drive, guide, sim, workers=workers)
-    assert _RecordingPool.sizes == ([] if pool is None else [pool])
-    assert rep == run_ensemble(atom, transit_cavity, transit_drive, guide, sim)
+            assert max(sizes) <= block_atoms
+            # the fewest such blocks: one block fewer would exceed BLOCK_ATOMS
+            fewer = len(blocks) - 1
+            assert fewer < 1 or -(-n_atoms // fewer) > block_atoms
 
 
 # --- the photon-number solve of the recoil stepper ------------------------------

@@ -4,11 +4,15 @@ Config files quote quantities in the units lab numbers come in (MHz, µs,
 µm, µK); conversion to internal units (rad/s, s, m, K) happens here and
 nowhere else.  Missing fields fall back to the defaults below; unknown
 sections or fields are errors so typos cannot silently revert a value.
+Each value must have the JSON type of its default: a boolean for a flag,
+an integer (a number with no fractional part) for a count, and any
+number but a boolean for a quantity.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,9 +80,10 @@ def _merge(raw: dict) -> dict:
             raise ConfigError(f"unknown config section '{section}'")
         if not isinstance(raw[section], dict):
             raise ConfigError(f"config section '{section}' must be an object")
-        for key in raw[section]:
+        for key, value in raw[section].items():
             if key not in DEFAULTS[section]:
                 raise ConfigError(f"unknown field '{key}' in config section '{section}'")
+            _check_type(f"{section}.{key}", DEFAULTS[section][key], value)
     merged = {}
     for section, fields in DEFAULTS.items():
         merged[section] = dict(fields)
@@ -86,11 +91,20 @@ def _merge(raw: dict) -> dict:
     return merged
 
 
-def _sim_int(sm: dict, key: str) -> int:
-    try:
-        return int(sm[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"sim.{key} must be an integer, got {sm[key]!r}") from exc
+def _check_type(name: str, default, value) -> None:
+    """Raise ConfigError unless value has the JSON type of its default."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok = number and (isinstance(value, int) or value.is_integer())
+        kind = "an integer"
+    else:
+        # a JSON integer past the float range would overflow in the unit conversion
+        ok = number and (isinstance(value, float) or abs(value) <= sys.float_info.max)
+        kind = "a number"
+    if not ok:
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -111,7 +125,7 @@ def parse_config(raw: dict) -> RunConfig:
         delta_c=cv["delta_c_mhz"] * MHZ,
         waist=cv["waist_um"] * UM,
         length=cv["length_mm"] * 1e-3,
-        asymmetric_input=bool(cv["asymmetric_input"]),
+        asymmetric_input=cv["asymmetric_input"],
     )
     drive = DriveParams(j_in=dr["j_in_per_us"] * 1e6, tau=dr["tau_us"] * US)
     guide = GuideParams(
@@ -123,13 +137,13 @@ def parse_config(raw: dict) -> RunConfig:
         dt=sm["dt_us"] * US,
         window=sm["window_us"] * US,
         stride=sm["stride_us"] * US,
-        threshold=_sim_int(sm, "threshold"),
+        threshold=int(sm["threshold"]),
         min_dip=sm["min_dip_us"] * US,
         duration=sm["duration_us"] * US,
-        seed=_sim_int(sm, "seed"),
-        n_atoms=_sim_int(sm, "n_atoms"),
-        include_recoil=bool(sm["include_recoil"]),
-        dark_windows=_sim_int(sm, "dark_windows"),
+        seed=int(sm["seed"]),
+        n_atoms=int(sm["n_atoms"]),
+        include_recoil=sm["include_recoil"],
+        dark_windows=int(sm["dark_windows"]),
     )
     return RunConfig(
         atom=atom,

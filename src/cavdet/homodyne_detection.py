@@ -23,16 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotDispersive, SmallDetuningWarning
-from .optimize import KappaTOptimum, max_on_log_grid, max_over_kappa_t
+from .optimize import KappaTOptimum, best_pump, max_over_kappa_t
 from .params import AtomParams, CavityParams, DriveParams, cooperativity
 from .resonant_detection import _detected_photons, output_photons
-from .steady_state import (
-    _atom_response,
-    _pump_root,
-    _stationary_pump_scan,
-    empty_cavity_state,
-    solve_stationary,
-)
+from .steady_state import _atom_response, empty_cavity_state, solve_stationary
 
 SMALL_ANGLE_MAX = 0.3  # |phi| beyond which the linearized forms degrade
 
@@ -142,52 +136,28 @@ def dispersive_saturation_pump(atom: AtomParams, cavity: CavityParams) -> float:
     return n_sat * cavity.kappa**2 / cavity.kappa_t
 
 
-def _snr_hom_from_n(atom: AtomParams, cavity: CavityParams, n, tau: float):
-    """S_hom at g_max for the lower-branch photon number n, a float or an array."""
+def _snr_hom_from_n(atom: AtomParams, cavity: CavityParams, j, n, tau: float):
+    """homodyne_report(...).snr for the lower-branch photon number n at g_max.
+
+    Takes floats or arrays; on floats it is the report's SNR to the last
+    bit.  The pump rate j enters only through n.
+    """
     _, _, light_shift = _atom_response(n, cavity.g_max, atom)
     return _phase_and_snr(light_shift, cavity.kappa, _detected_photons(n, cavity, tau))[1]
 
 
-def _snr_hom_over_pump(atom: AtomParams, cavity: CavityParams, j, tau: float):
-    """homodyne_report(...).snr at each pump rate of the array j, from one batched solve."""
-    return _snr_hom_from_n(atom, cavity, _stationary_pump_scan(atom, cavity, j), tau)
-
-
-def _snr_hom_at_pump(atom: AtomParams, cavity: CavityParams, j: float, tau: float) -> float:
-    """homodyne_report(...).snr at one pump rate j, to the last bit, without the report."""
-    return float(_snr_hom_from_n(atom, cavity, _pump_root(atom, cavity, j), tau))
-
-
 def max_snr_hom_over_pump(
-    atom: AtomParams,
-    cavity: CavityParams,
-    tau: float,
-    n_decades: float = 4.0,
-    per_decade: int = 61,
-    polish: bool = True,
+    atom: AtomParams, cavity: CavityParams, tau: float, n_decades: float = 4.0
 ) -> tuple[float, float]:
     """Maximize S_hom over the pump rate; returns (j_in, snr).
 
-    The scan grid is log-spaced, n_decades wide and centered on the
-    dispersive saturation pump; it is solved in one batched call.  A Brent
-    polish (optimize.golden_max) refines the best grid point on the scalar
-    lower root and the SNR arithmetic of homodyne_report, to the last bit,
-    without building a report.  Where the best grid point is a range end,
-    the polish runs only if the objective one polish tolerance inside that
-    end is at least its value there (see optimize.max_on_log_grid); an
-    optimum returned at the top of the range is bounded by n_decades and
-    not flagged.
+    The pump range is n_decades wide and centered on the dispersive
+    saturation pump (see optimize.best_pump, shared with the resonant
+    scheme); no report is built.  An optimum returned at the top of the
+    range is bounded by n_decades and not flagged.
     """
     check_dispersive(atom, cavity)
-    j_sat = dispersive_saturation_pump(atom, cavity)
-    return max_on_log_grid(
-        lambda j: _snr_hom_at_pump(atom, cavity, j, tau),
-        j_sat * 10.0 ** (-0.5 * n_decades),
-        j_sat * 10.0 ** (0.5 * n_decades),
-        per_decade=per_decade,
-        polish=polish,
-        f_grid=lambda j: _snr_hom_over_pump(atom, cavity, j, tau),
-    )
+    return best_pump(_snr_hom_from_n, dispersive_saturation_pump, atom, cavity, tau, n_decades)
 
 
 def optimal_kappa_t_homodyne(
@@ -203,8 +173,6 @@ def optimal_kappa_t_homodyne(
     kappa_loss, kappa_t is searched, bound hits are flagged.
     """
     check_dispersive(atom, cavity)
-
-    def pump_max(trial, per_decade):
-        return max_snr_hom_over_pump(atom, trial, drive.tau, per_decade=per_decade)
-
-    return max_over_kappa_t(pump_max, cavity, bounds, rel_tol)
+    return max_over_kappa_t(
+        _snr_hom_from_n, dispersive_saturation_pump, atom, cavity, drive.tau, bounds, rel_tol
+    )

@@ -1,8 +1,12 @@
 """Scalar maximization helpers for smooth, effectively unimodal objectives.
 
 golden_max is Brent's method (parabolic steps, golden-section fallback);
-max_on_log_grid scans a log grid and polishes its best point with it, and
-max_over_kappa_t runs it over log kappa_t on a pump maximizer.
+max_on_log_grid scans a log grid and polishes its best point with it.
+best_pump is the one pump optimizer of both detection schemes, and
+max_over_kappa_t runs golden_max over log kappa_t on it.  A scheme enters
+them as two plain functions: its S from the lower-branch photon number,
+snr(atom, cavity, j, n, tau) for floats and arrays, and its saturation
+pump center(atom, cavity), on which the pump range is centered.
 """
 from __future__ import annotations
 
@@ -12,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NoMaximumInBounds
+from .steady_state import _pump_root, _stationary_pump_scan
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of the larger part
 _GRID_RTOL = 1e-6  # grid points this close to a grid objective's maximum are rescored with f
@@ -89,15 +94,14 @@ def golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6, max_iter: int = 2
     return x, fx
 
 
-def max_on_log_grid(
-    f, lo: float, hi: float, per_decade: int = 61, polish: bool = True, f_grid=None
-):
+def max_on_log_grid(f, lo: float, hi: float, per_decade: int = 61, f_grid=None):
     """Grid-then-polish maximization of f over a log-spaced range.
 
     Scans a grid of per_decade points per decade, then polishes with
     golden_max (Brent's method, rel_tol=1e-10) in log space within one grid
     step of the best point.  Robust against the mild multimodality that
-    fold points introduce.  Returns (x, f(x)).
+    fold points introduce.  Returns (x, f(x)).  A range that is not
+    0 < lo < hi with a finite hi/lo raises NoMaximumInBounds.
 
     Where the best grid point is lo or hi, f is evaluated once, one polish
     tolerance (1e-10*(|log a| + |log b|) for the bracket [a, b] in log x)
@@ -113,7 +117,7 @@ def max_on_log_grid(
     result is that of the mapped f wherever f_grid is within _GRID_RTOL/2
     of f, relative to the maximum.
     """
-    if lo <= 0 or hi <= lo:
+    if not (0.0 < lo < hi and math.isfinite(hi / lo)):
         raise NoMaximumInBounds(f"invalid log range [{lo}, {hi}]")
     decades = math.log10(hi / lo)
     n = max(2, int(round(per_decade * decades)) + 1)
@@ -126,8 +130,6 @@ def max_on_log_grid(
     vals = np.array([f(x) for x in grid[top]])
     k = int(np.argmax(vals))
     i, f_i = int(top[k]), vals[k]
-    if not polish:
-        return float(grid[i]), float(f_i)
     a = math.log(grid[max(i - 1, 0)])
     b = math.log(grid[min(i + 1, n - 1)])
     if b <= a:
@@ -144,6 +146,37 @@ def max_on_log_grid(
     return float(grid[i]), float(f_i)
 
 
+def best_pump(
+    snr, center, atom, cavity, tau: float, n_decades: float = 4.0, per_decade: int = 61
+) -> tuple[float, float]:
+    """(j_in, S) at the best pump rate of one detection scheme.
+
+    snr(atom, cavity, j, n, tau) is the scheme's S at pump rate j and
+    lower-branch photon number n at g_max, for floats and for arrays;
+    center(atom, cavity) is its saturation pump.  The log grid, n_decades
+    wide and centered on that pump, is solved in one batched call
+    (_stationary_pump_scan), and max_on_log_grid polishes its best point on
+    the scalar lower root (_pump_root), so a float S is the scheme's report
+    SNR to the last bit.  An optimum at an end of the range is bounded by
+    n_decades and not flagged.  A non-finite or non-positive n_decades, or a
+    range that overflows, raises NoMaximumInBounds.
+    """
+    if not 0.0 < n_decades < math.inf:
+        raise NoMaximumInBounds(f"n_decades must be positive and finite, got {n_decades}")
+    j_sat = center(atom, cavity)
+    try:
+        lo, hi = j_sat * 10.0 ** (-0.5 * n_decades), j_sat * 10.0 ** (0.5 * n_decades)
+    except OverflowError as exc:
+        raise NoMaximumInBounds(f"a pump range of {n_decades} decades overflows") from exc
+    return max_on_log_grid(
+        lambda j: float(snr(atom, cavity, j, _pump_root(atom, cavity, j), tau)),
+        lo,
+        hi,
+        per_decade=per_decade,
+        f_grid=lambda j: snr(atom, cavity, j, _stationary_pump_scan(atom, cavity, j), tau),
+    )
+
+
 @dataclass(frozen=True)
 class KappaTOptimum:
     kappa_t: float
@@ -153,17 +186,18 @@ class KappaTOptimum:
     at_upper_bound: bool
 
 
-def max_over_kappa_t(pump_max, cavity, bounds=None, rel_tol: float = 1e-4) -> KappaTOptimum:
+def max_over_kappa_t(
+    snr, center, atom, cavity, tau: float, bounds=None, rel_tol: float = 1e-4
+) -> KappaTOptimum:
     """Mirror transmission maximizing a scheme's pump-optimized SNR.
 
-    pump_max(trial_cavity, per_decade) returns (j_in, snr) at the best pump
-    rate for that cavity.  cavity supplies g_max and kappa_loss; its kappa_t
-    is ignored and searched over in log space by golden_max (Brent's method,
-    down to a bracket rel_tol*(|a| + |b|) wide in log kappa_t), on a
-    31-per-decade pump grid, and the optimum is re-evaluated on the full
-    61-per-decade grid.  Default bounds span [kappa_loss/20, 5*kappa_loss];
-    explicit bounds are required when kappa_loss = 0.  Results landing at a
-    bound are flagged, not raised.
+    snr and center are the scheme's, as in best_pump.  cavity supplies g_max
+    and kappa_loss; its kappa_t is ignored and searched over in log space by
+    golden_max (Brent's method, down to a bracket rel_tol*(|a| + |b|) wide
+    in log kappa_t), on a 31-per-decade pump grid, and the optimum is
+    re-evaluated on the full 61-per-decade grid.  Default bounds span
+    [kappa_loss/20, 5*kappa_loss]; explicit bounds are required when
+    kappa_loss = 0.  Results landing at a bound are flagged, not raised.
     """
     if bounds is None:
         if cavity.kappa_loss <= 0:
@@ -174,14 +208,15 @@ def max_over_kappa_t(pump_max, cavity, bounds=None, rel_tol: float = 1e-4) -> Ka
         raise NoMaximumInBounds(f"invalid kappa_t bounds [{lo}, {hi}]")
 
     def objective(log_kt):
-        return pump_max(replace(cavity, kappa_t=math.exp(log_kt)), 31)[1]
+        trial = replace(cavity, kappa_t=math.exp(log_kt))
+        return best_pump(snr, center, atom, trial, tau, per_decade=31)[1]
 
     log_kt, _ = golden_max(objective, math.log(lo), math.log(hi), rel_tol=rel_tol)
     kt = math.exp(log_kt)
-    j_in, snr = pump_max(replace(cavity, kappa_t=kt), 61)
+    j_in, s = best_pump(snr, center, atom, replace(cavity, kappa_t=kt), tau)
     return KappaTOptimum(
         kappa_t=kt,
-        snr=snr,
+        snr=s,
         j_in=j_in,
         at_lower_bound=kt <= lo * 1.05,
         at_upper_bound=kt >= hi / 1.05,

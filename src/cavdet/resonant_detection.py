@@ -18,16 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotResonant
-from .optimize import KappaTOptimum, max_on_log_grid, max_over_kappa_t
+from .optimize import KappaTOptimum, best_pump, max_over_kappa_t
 from .params import AtomParams, CavityParams, DriveParams, cooperativity
-from .steady_state import (
-    StationaryState,
-    _empty_photons_over_pump,
-    _pump_root,
-    _stationary_pump_scan,
-    empty_cavity_state,
-    solve_stationary,
-)
+from .steady_state import StationaryState, empty_cavity_state, solve_stationary
 
 # cooperativity bands for tagging which closed-form branch applies
 WEAK_COUPLING_MAX = 0.2
@@ -178,69 +171,37 @@ def saturation_pump(atom: AtomParams, cavity: CavityParams) -> float:
     return atom.gamma**2 * cavity.kappa**2 / (2.0 * cavity.g_max**2 * cavity.kappa_t)
 
 
-def _snr_over_pump(atom: AtomParams, cavity: CavityParams, j, tau: float):
-    """intensity_report(...).snr at each pump rate of the array j, from one batched solve."""
-    n_out_empty = _detected_photons(_empty_photons_over_pump(cavity, j), cavity, tau)
-    n_out_atom = _detected_photons(_stationary_pump_scan(atom, cavity, j), cavity, tau)
-    return _intensity_snr(n_out_empty, n_out_atom)
+def _snr_from_n(atom: AtomParams, cavity: CavityParams, j, n, tau: float):
+    """intensity_report(...).snr at pump rate j for the lower-branch photon number n at g_max.
 
-
-def _snr_at_pump(atom: AtomParams, cavity: CavityParams, j: float, tau: float) -> float:
-    """intensity_report(...).snr at one pump rate j, to the last bit, without the report.
-
-    The empty-cavity count is empty_cavity_state's |eta/(kappa - i*delta_c)|^2,
-    which rounds unlike the grid's eta^2/(kappa^2 + delta_c^2).
+    Takes floats or arrays; on floats it is the report's SNR to the last bit.
+    A float j keeps empty_cavity_state's empty-cavity count
+    |eta/(kappa - i*delta_c)|^2: numpy's complex division rounds unlike
+    Python's, so an array j takes eta^2/(kappa^2 + delta_c^2), equal to
+    rounding.
     """
-    n_empty = abs(math.sqrt(j * cavity.kappa_t) / (cavity.kappa - 1j * cavity.delta_c)) ** 2
+    if isinstance(j, np.ndarray):
+        n_empty = j * cavity.kappa_t / (cavity.kappa**2 + cavity.delta_c**2)
+    else:
+        n_empty = abs(math.sqrt(j * cavity.kappa_t) / (cavity.kappa - 1j * cavity.delta_c)) ** 2
     n_out_empty = _detected_photons(n_empty, cavity, tau)
-    n_out_atom = _detected_photons(_pump_root(atom, cavity, j), cavity, tau)
-    return float(_intensity_snr(n_out_empty, n_out_atom))
-
-
-def _best_pump(
-    atom: AtomParams,
-    cavity: CavityParams,
-    tau: float,
-    n_decades: float = 4.0,
-    per_decade: int = 61,
-    polish: bool = True,
-) -> tuple[float, float]:
-    """(j_in, snr) at the optimum of max_snr_over_pump, without its report."""
-    j_sat = saturation_pump(atom, cavity)
-    return max_on_log_grid(
-        lambda j: _snr_at_pump(atom, cavity, j, tau),
-        j_sat * 10.0 ** (-0.5 * n_decades),
-        j_sat * 10.0 ** (0.5 * n_decades),
-        per_decade=per_decade,
-        polish=polish,
-        f_grid=lambda j: _snr_over_pump(atom, cavity, j, tau),
-    )
+    return _intensity_snr(n_out_empty, _detected_photons(n, cavity, tau))
 
 
 def max_snr_over_pump(
-    atom: AtomParams,
-    cavity: CavityParams,
-    tau: float,
-    n_decades: float = 4.0,
-    per_decade: int = 61,
-    polish: bool = True,
+    atom: AtomParams, cavity: CavityParams, tau: float, n_decades: float = 4.0
 ) -> PumpOptimum:
     """Maximize the resonant SNR over the pump rate.
 
-    The scan grid is log-spaced, n_decades wide and centered on the
-    saturation pump, where the optimum sits at weak coupling; it is solved
-    in one batched call.  A Brent polish (optimize.golden_max) refines the
-    best grid point on the scalar lower root and the SNR arithmetic of
-    intensity_report, without building a report; only the returned
-    optimum's report is built.  Where the best grid point is a range end,
-    the polish runs only if the objective one polish tolerance inside that
-    end is at least its value there (see optimize.max_on_log_grid).  At
-    strong coupling the SNR can still rise at the top of the range: the
-    optimum returned there is the range end, bounded by n_decades and not
-    flagged.
+    The pump range is n_decades wide and centered on the saturation pump,
+    where the optimum sits at weak coupling (see optimize.best_pump, shared
+    with the homodyne scheme).  Only the returned optimum's report is
+    built.  At strong coupling the SNR can still rise at the top of the
+    range: the optimum returned there is the range end, bounded by n_decades
+    and not flagged.
     """
     check_resonant(atom, cavity)
-    j_opt, _ = _best_pump(atom, cavity, tau, n_decades, per_decade, polish)
+    j_opt, _ = best_pump(_snr_from_n, saturation_pump, atom, cavity, tau, n_decades)
     report = intensity_report(atom, cavity, DriveParams(j_in=j_opt, tau=tau))
     return PumpOptimum(j_in=j_opt, snr=report.snr, report=report)
 
@@ -258,11 +219,7 @@ def optimal_kappa_t(
     (see optimize.max_over_kappa_t for the bounds and the bound flags).
     """
     check_resonant(atom, cavity)
-
-    def pump_max(trial, per_decade):
-        return _best_pump(atom, trial, drive.tau, per_decade=per_decade)
-
-    return max_over_kappa_t(pump_max, cavity, bounds, rel_tol)
+    return max_over_kappa_t(_snr_from_n, saturation_pump, atom, cavity, drive.tau, bounds, rel_tol)
 
 
 def fluorescence_reference(collection_fraction: float) -> float:

@@ -396,12 +396,6 @@ def empty_cavity_state(cavity: CavityParams, drive: DriveParams) -> StationarySt
     )
 
 
-def _empty_photons_over_pump(cavity: CavityParams, j_values: np.ndarray) -> np.ndarray:
-    """empty_cavity_state(...).n_photons at each pump rate, to rounding: eta^2/(kappa^2 + delta_c^2)."""
-    eta2 = np.asarray(j_values, dtype=float) * cavity.kappa_t
-    return eta2 / (cavity.kappa**2 + cavity.delta_c**2)
-
-
 def _stationary_pump_scan(
     atom: AtomParams, cavity: CavityParams, j_values: np.ndarray
 ) -> np.ndarray:

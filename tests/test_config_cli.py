@@ -89,6 +89,41 @@ def test_bad_config_shapes(raw):
         parse_config(raw)
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("sim", "include_recoil", "false"),  # a truthy string ran with recoil
+        ("sim", "include_recoil", 0),
+        ("cavity", "asymmetric_input", "no"),  # turned the output doubling on
+        ("cavity", "asymmetric_input", None),
+        ("sim", "threshold", 10.5),  # silently became 10
+        ("sim", "threshold", "12"),  # silently became 12
+        ("sim", "seed", True),
+        ("cavity", "g_mhz", True),  # read as 1 MHz
+        ("cavity", "g_mhz", "12"),  # escaped as a TypeError
+        ("cavity", "g_mhz", None),
+        ("drive", "tau_us", [10.0]),
+        ("cavity", "g_mhz", 10**400),  # overflowed converting to rad/s
+    ],
+)
+def test_config_value_must_have_its_json_type(section, key, value):
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be"):
+        parse_config({section: {key: value}})
+
+
+def test_config_values_of_their_json_type_are_kept():
+    # a JSON integer is a number, and a count may be written without a fraction
+    cfg = parse_config(
+        {
+            "cavity": {"g_mhz": 12, "asymmetric_input": True},
+            "sim": {"threshold": 12.0, "include_recoil": False},
+        }
+    )
+    assert cfg.cavity.g_max == 12 * MHZ and cfg.cavity.asymmetric_input is True
+    assert cfg.sim.threshold == 12 and type(cfg.sim.threshold) is int
+    assert cfg.sim.include_recoil is False
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
@@ -263,6 +298,15 @@ def test_cli_non_finite_config_value_is_exit_2(tmp_path, capsys):
     assert "NaN" in cfg.read_text()
     assert run(["steady", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 2
     assert "drive.j_in must be finite" in capsys.readouterr().err
+
+
+def test_cli_config_value_of_the_wrong_type_is_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"cavity": {"g_mhz": "12"}}))
+    out = tmp_path / "x.json"
+    assert run(["steady", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "cavity.g_mhz must be a number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["threshold", "seed", "n_atoms", "dark_windows"])

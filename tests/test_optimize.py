@@ -99,3 +99,12 @@ def test_max_on_log_grid_returns_a_range_end_after_one_probe(sign):
     end = 100.0 if sign > 0 else 1.0
     assert x == end and fx == sign * end
     assert len(calls) == 23 + 1
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(1.0, math.inf), (math.nan, 10.0), (1.0, math.nan), (-math.inf, 10.0), (1e-300, 1e300)],
+)
+def test_max_on_log_grid_rejects_a_non_finite_range(lo, hi):
+    with pytest.raises(NoMaximumInBounds):
+        max_on_log_grid(lambda x: x, lo, hi)

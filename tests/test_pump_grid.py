@@ -1,10 +1,11 @@
-"""Batched pump grids: the verified grid solve and the grid objectives of both SNR optimizers.
+"""Batched pump grids: the verified grid solve and the one pump optimizer of both schemes.
 
-Each pump maximizer evaluates its grid with one batched solve
-(_stationary_pump_scan) and keeps the polish (Brent's method) on the scalar
-lower root, and the final report on the scalar path.  The references here
-are the scalar reports, and the same maximizers with the scalar objective
-mapped over the grid.
+optimize.best_pump evaluates a scheme's S from N (_snr_from_n,
+_snr_hom_from_n) on one batched grid solve (_stationary_pump_scan) and
+keeps the polish (Brent's method) on the scalar lower root (_pump_root),
+and the final report on the scalar path.  The references here are the
+scalar reports, and the same maximizers with the scalar objective mapped
+over the grid.
 """
 import math
 import warnings
@@ -19,6 +20,7 @@ from cavdet import (
     AtomParams,
     CavityParams,
     DriveParams,
+    NoMaximumInBounds,
     dispersive_saturation_pump,
     homodyne_report,
     intensity_report,
@@ -44,10 +46,9 @@ def _scalar_snr(atom, cavity, j):
         return np.array([report(atom, cavity, DriveParams(j_in=x, tau=TAU)).snr for x in j])
 
 
-def _grid_snr(atom, cavity, j):
-    if atom.delta_a:
-        return homodyne_detection._snr_hom_over_pump(atom, cavity, j, TAU)
-    return resonant_detection._snr_over_pump(atom, cavity, j, TAU)
+def _snr_from_n(atom):
+    """The scheme's S from the lower-branch photon number: dispersive if the atom is detuned."""
+    return homodyne_detection._snr_hom_from_n if atom.delta_a else resonant_detection._snr_from_n
 
 
 def _draws(seed, count):
@@ -87,8 +88,8 @@ def test_grid_snr_matches_scalar_reports(fallbacks):
         fallbacks.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            grid = _grid_snr(atom, cavity, j)
             n = _stationary_pump_scan(atom, cavity, j)
+            grid = _snr_from_n(atom)(atom, cavity, j, n, TAU)
         fell_back = set(fallbacks)
         ref = _scalar_snr(atom, cavity, j)
         n_ref = np.array([solve_stationary(atom, cavity, DriveParams(x, TAU)).n_photons for x in j])
@@ -108,10 +109,13 @@ def test_grid_snr_matches_scalar_reports(fallbacks):
             # its rounding by the size of the terms, not of the difference,
             # which cancels at weak coupling
             n_out_atom = _detected_photons(n_ref, cavity, TAU)
-            n_empty = steady_state._empty_photons_over_pump(cavity, j)
             empty = [steady_state.empty_cavity_state(cavity, DriveParams(x, TAU)) for x in j]
-            np.testing.assert_allclose(n_empty, [e.n_photons for e in empty], rtol=1e-15, atol=0)
+            n_empty = np.array([e.n_photons for e in empty])
             n_out_empty = _detected_photons(n_empty, cavity, TAU)
+            # S at the empty cavity's own photon number is the array path's
+            # empty-cavity count minus the scalar state's, over sqrt(N_out,0)
+            s_empty = resonant_detection._snr_from_n(atom, cavity, j, n_empty, TAU)
+            assert np.all(np.abs(s_empty * np.sqrt(n_out_empty)) <= 1e-15 * n_out_empty)
             scale = (n_out_empty + n_out_atom) / np.sqrt(n_out_atom)
         assert np.all(np.abs(grid - ref) <= 1e-12 * scale)
         sent += int(back.sum())
@@ -154,7 +158,8 @@ def test_grid_never_returns_a_bad_batched_root(monkeypatch, narrow_cavity):
             n = _stationary_pump_scan(a, narrow_cavity, j)
         n_ref = [solve_stationary(a, narrow_cavity, DriveParams(x, TAU)).n_photons for x in j]
         assert n.tolist() == n_ref
-        grid, ref = _grid_snr(a, narrow_cavity, j), _scalar_snr(a, narrow_cavity, j)
+        grid = _snr_from_n(a)(a, narrow_cavity, j, n, TAU)
+        ref = _scalar_snr(a, narrow_cavity, j)
         if a.delta_a:
             assert grid.tolist() == ref.tolist()
         # the resonant grid's empty-cavity count rounds unlike the scalar state's
@@ -177,14 +182,14 @@ ATOM_DISPERSIVE = AtomParams(delta_a=200 * 3 * MHZ)
 @pytest.fixture
 def mapped(monkeypatch):
     """Calls fn with max_on_log_grid mapping the scalar objective over each grid."""
+    grid = optimize.max_on_log_grid
 
-    def scalar_grid(f, lo, hi, per_decade=61, polish=True, f_grid=None):
-        return optimize.max_on_log_grid(f, lo, hi, per_decade=per_decade, polish=polish)
+    def scalar_grid(f, lo, hi, per_decade=61, f_grid=None):
+        return grid(f, lo, hi, per_decade=per_decade)
 
     def call(fn, *args, **kwargs):
         with monkeypatch.context() as m:
-            m.setattr(resonant_detection, "max_on_log_grid", scalar_grid)
-            m.setattr(homodyne_detection, "max_on_log_grid", scalar_grid)
+            m.setattr(optimize, "max_on_log_grid", scalar_grid)
             return fn(*args, **kwargs)
 
     return call
@@ -208,7 +213,7 @@ def test_pump_maximizers_equal_the_scalar_mapped_search(mapped, request, name):
     cavity = SWEEP[name] if isinstance(name, int) else request.getfixturevalue(name)
     schemes = ((ATOM_RESONANT, max_snr_over_pump), (ATOM_DISPERSIVE, max_snr_hom_over_pump))
     for atom, maximize in schemes:
-        for kw in ({}, {"n_decades": 3.0, "per_decade": 31}, {"polish": False}):
+        for kw in ({}, {"n_decades": 3.0}):
             assert maximize(atom, cavity, TAU, **kw) == mapped(maximize, atom, cavity, TAU, **kw)
     # an asymmetric input mirror doubles both detected counts
     asym = replace(cavity, asymmetric_input=True)
@@ -216,13 +221,21 @@ def test_pump_maximizers_equal_the_scalar_mapped_search(mapped, request, name):
     assert max_snr_over_pump(ATOM_RESONANT, asym, TAU) == expected
 
 
+@pytest.mark.parametrize("n_decades", [math.nan, math.inf, 600.0, 700.0, 0.0, -4.0])
+def test_pump_maximizers_reject_a_bad_range(main_cavity, n_decades):
+    # nan raised ValueError; 600 and 700 decades raised OverflowError
+    with pytest.raises(NoMaximumInBounds):
+        max_snr_over_pump(ATOM_RESONANT, main_cavity, TAU, n_decades=n_decades)
+    with pytest.raises(NoMaximumInBounds):
+        max_snr_hom_over_pump(ATOM_DISPERSIVE, main_cavity, TAU, n_decades=n_decades)
+
+
 def test_max_on_log_grid_reports_f_at_the_grid_point():
     # a grid objective that only agrees with f to rounding still returns f's value
     f = lambda x: 5.0 - (np.log10(x) - 1.3) ** 2
     grid_f = lambda xs: f(xs) + 1e-14
-    for polish in (True, False):
-        expected = optimize.max_on_log_grid(f, 1.0, 1e3, 11, polish)
-        assert optimize.max_on_log_grid(f, 1.0, 1e3, 11, polish, f_grid=grid_f) == expected
+    expected = optimize.max_on_log_grid(f, 1.0, 1e3, 11)
+    assert optimize.max_on_log_grid(f, 1.0, 1e3, 11, f_grid=grid_f) == expected
 
 
 def test_max_on_log_grid_breaks_near_ties_with_f():
@@ -231,10 +244,9 @@ def test_max_on_log_grid_breaks_near_ties_with_f():
     rng = np.random.default_rng(5)
     f = lambda x: 1.0 + 1e-13 * np.sin(40.0 * np.log(x))
     grid_f = lambda xs: f(xs) + 1e-12 * rng.uniform(-1.0, 1.0, xs.shape)
-    for polish in (True, False):
-        expected = optimize.max_on_log_grid(f, 1.0, 1e3, 11, polish)
-        for _ in range(20):
-            assert optimize.max_on_log_grid(f, 1.0, 1e3, 11, polish, f_grid=grid_f) == expected
+    expected = optimize.max_on_log_grid(f, 1.0, 1e3, 11)
+    for _ in range(20):
+        assert optimize.max_on_log_grid(f, 1.0, 1e3, 11, f_grid=grid_f) == expected
 
 
 # --- the search itself ---------------------------------------------------------
@@ -289,8 +301,7 @@ def calls(monkeypatch):
 
     for module in (steady_state, resonant_detection, homodyne_detection):
         monkeypatch.setattr(module, "solve_stationary", spy_solve)
-    for module in (resonant_detection, homodyne_detection):
-        monkeypatch.setattr(module, "max_on_log_grid", spy_grid)
+    monkeypatch.setattr(optimize, "max_on_log_grid", spy_grid)
     return seen
 
 
@@ -298,7 +309,7 @@ def calls(monkeypatch):
 def test_optimizers_build_no_report_but_the_returned_one(calls, cavity):
     # the polish and the kappa_t search evaluate the SNR from the scalar
     # root; a report is built only for max_snr_over_pump's result
-    for kw in ({}, {"n_decades": 3.0, "per_decade": 31}, {"polish": False}):
+    for kw in ({}, {"n_decades": 3.0}):
         calls["solves"] = 0
         max_snr_over_pump(ATOM_RESONANT, cavity, TAU, **kw)
         assert calls["solves"] == 1

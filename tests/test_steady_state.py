@@ -401,8 +401,9 @@ def test_cold_start_leaves_only_screened_elements_to_the_scalar_solver(case):
 @example(case=CORNER_EXAMPLES[0], asymmetric=False)
 @example(case=ZERO_DISCRIMINANT_CASE, asymmetric=True)
 def test_pump_objectives_are_the_reports_snr(case, asymmetric):
-    # the optimizers' polish evaluates these scalar objectives in place of
-    # the reports, and their results are the reports' only if this is ==
+    # the optimizers' polish evaluates each scheme's S on the scalar lower
+    # root in place of the report, and their results are the reports' only
+    # if this is ==
     g, kt, kl, da, dc, j = case
     cavity = CavityParams(
         g_max=g * MHZ,
@@ -416,12 +417,14 @@ def test_pump_objectives_are_the_reports_snr(case, asymmetric):
         warnings.simplefilter("ignore")
         resonant = AtomParams(delta_a=da * MHZ)
         expected = intensity_report(resonant, cavity, drive).snr
-        assert resonant_detection._snr_at_pump(resonant, cavity, j, drive.tau) == expected
+        n = steady_state._pump_root(resonant, cavity, j)
+        assert resonant_detection._snr_from_n(resonant, cavity, j, n, drive.tau) == expected
         # homodyne detection pumps on the cavity line, with the atom detuned
         dispersive = AtomParams(delta_a=(da if abs(da) > 1e-6 else 1.0) * MHZ)
         on_line = replace(cavity, delta_c=0.0)
         expected = homodyne_report(dispersive, on_line, drive).snr
-        assert homodyne_detection._snr_hom_at_pump(dispersive, on_line, j, drive.tau) == expected
+        n = steady_state._pump_root(dispersive, on_line, j)
+        assert homodyne_detection._snr_hom_from_n(dispersive, on_line, j, n, drive.tau) == expected
 
 
 def test_roots_either_side_of_the_folds(atom, narrow_cavity):

@@ -14,14 +14,14 @@ import os
 import sys
 import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .config import config_digest, load_config
+from .config import load_config, parse_config
 from .errors import CavdetError, ConfigError, NotDispersive, NotResonant
 from .fiber_cavity import FiberCavityDesign, derive, v_number
 from .homodyne_detection import dispersive_saturation_pump, homodyne_report
@@ -243,36 +243,23 @@ def _cmd_simulate(args) -> int:
         if value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
     cfg = load_config(args.config)
+    # the flags are sim values of the config, so its digest covers them
+    flags = {
+        "seed": args.seed,
+        "n_atoms": args.atoms,
+        "threshold": args.threshold,
+        "window_us": args.window_us,
+    }
+    sim_section = {**cfg.resolved["sim"], **{k: v for k, v in flags.items() if v is not None}}
+    cfg = parse_config({**cfg.resolved, "sim": sim_section})
     sim = cfg.sim
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.atoms is not None:
-        overrides["n_atoms"] = args.atoms
-    if args.threshold is not None:
-        overrides["threshold"] = args.threshold
-    if args.window_us is not None:
-        overrides["window"] = args.window_us * US
-    if overrides:
-        sim = replace(sim, **overrides)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    resolved = dict(cfg.resolved)
-    resolved["sim"] = dict(resolved["sim"])
-    resolved["sim"].update(
-        {
-            "seed": sim.seed,
-            "n_atoms": sim.n_atoms,
-            "threshold": sim.threshold,
-            "window_us": sim.window / US,
-        }
-    )
-    digest = config_digest(resolved)
     meta = [
         ("version", __version__),
         ("command", "simulate"),
-        ("config_sha256", digest),
+        ("config_sha256", cfg.digest),
         ("seed", str(sim.seed)),
     ]
     header = "".join(f"# {k}: {v}\n" for k, v in meta)
@@ -315,13 +302,13 @@ def _cmd_simulate(args) -> int:
         out_dir / "report.json",
         {
             "version": __version__,
-            "config_sha256": digest,
-            "config": resolved,
+            "config_sha256": cfg.digest,
+            "config": cfg.resolved,
             "seed": sim.seed,
             "n_atoms": sim.n_atoms,
             "include_recoil": sim.include_recoil,
             "threshold": sim.threshold,
-            "window_us": sim.window / US,
+            "window_us": cfg.resolved["sim"]["window_us"],
             "efficiency": report.efficiency,
             "dark_rate_per_s": report.dark_rate,
             "dark_rate_ci_per_s": list(report.dark_rate_ci),

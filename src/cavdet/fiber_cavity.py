@@ -51,6 +51,14 @@ class FiberCavityDesign:
             raise ConfigError("half_gap must be non-negative")
         if self.fiber_length <= 0 or self.core_radius <= 0 or self.wavelength0 <= 0:
             raise ConfigError("lengths must be positive")
+        v = v_number(self)
+        if v > 3.0:
+            warnings.warn(
+                f"V number {v:.2f} > 3; the fiber is not single-mode and the "
+                "Gaussian fit is unreliable",
+                ParaxialWarning,
+                stacklevel=3,
+            )
 
     @property
     def index(self) -> float:
@@ -85,15 +93,11 @@ def v_number(design: FiberCavityDesign) -> float:
 
 
 def mode_waist(design: FiberCavityDesign) -> float:
-    """Marcuse waist w0 = a*(0.65 + 1.619*V^-1.5 + 2.879*V^-6) of the fiber mode."""
+    """Marcuse waist w0 = a*(0.65 + 1.619*V^-1.5 + 2.879*V^-6) of the fiber mode.
+
+    Past V = 3 the fit is unreliable; the design warns once, when it is built.
+    """
     v = v_number(design)
-    if v > 3.0:
-        warnings.warn(
-            f"V number {v:.2f} > 3; the fiber is not single-mode and the "
-            "Gaussian fit is unreliable",
-            ParaxialWarning,
-            stacklevel=2,
-        )
     return design.core_radius * (0.65 + 1.619 * v**-1.5 + 2.879 * v**-6)
 
 

@@ -61,9 +61,7 @@ def _phase_and_snr(light_shift, kappa, n_out):
     return phi, 2.0 * np.sqrt(n_out) * abs(np.sin(phi))
 
 
-def homodyne_report(
-    atom: AtomParams, cavity: CavityParams, drive: DriveParams, g_local: float | None = None
-) -> HomodyneReport:
+def homodyne_report(atom: AtomParams, cavity: CavityParams, drive: DriveParams) -> HomodyneReport:
     """Full nonlinear homodyne observables; pump on the cavity line, atom detuned."""
     check_dispersive(atom, cavity)
     if abs(atom.delta_a) < 10.0 * atom.gamma:
@@ -73,7 +71,7 @@ def homodyne_report(
             SmallDetuningWarning,
             stacklevel=2,
         )
-    state = solve_stationary(atom, cavity, drive, g_local=g_local)
+    state = solve_stationary(atom, cavity, drive)
     n_out = output_photons(state, cavity, drive)
     n_out_empty = output_photons(empty_cavity_state(cavity, drive), cavity, drive)
     phi, snr = _phase_and_snr(state.light_shift, cavity.kappa, n_out)

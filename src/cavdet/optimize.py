@@ -21,9 +21,10 @@ from .steady_state import _pump_root, _stationary_pump_scan
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of the larger part
 _GRID_RTOL = 1e-6  # grid points this close to a grid objective's maximum are rescored with f
 _POLISH_RTOL = 1e-10  # golden_max's rel_tol for the polish, in log x
+_MAX_ITER = 200  # golden_max's step limit
 
 
-def golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6, max_iter: int = 200):
+def golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6):
     """Maximum of f on [lo, hi] by Brent's method; returns (x, f(x)).
 
     Each step goes to the vertex of the parabola through the best three
@@ -32,7 +33,7 @@ def golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6, max_iter: int = 2
     step into the larger side of the bracket (Brent, Algorithms for
     Minimization without Derivatives, 1973, ch. 5).  Steps are at least a
     quarter of the tolerance.  Stops once the bracket [a, b] around the
-    best point is at most rel_tol*(|a| + |b|) wide, or after max_iter
+    best point is at most rel_tol*(|a| + |b|) wide, or after _MAX_ITER
     steps.  A NaN value counts as worse than any number; a best value
     that is not finite raises NoMaximumInBounds.
     """
@@ -48,7 +49,7 @@ def golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6, max_iter: int = 2
     x = w = v = a + _CGOLD * (b - a)
     fx = fw = fv = value(x)
     d = e = 0.0  # the last step and the one before it
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         tol = rel_tol * (abs(a) + abs(b))
         if b - a <= tol:
             break

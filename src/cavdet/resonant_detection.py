@@ -81,10 +81,15 @@ def output_photons(state: StationaryState, cavity: CavityParams, drive: DrivePar
     return _detected_photons(state.n_photons, cavity, drive.tau)
 
 
+def _detected_rate(n, cavity: CavityParams):
+    """Detected photon rate n*kappa_t, doubled for an asymmetric input mirror; floats or arrays."""
+    rate = n * cavity.kappa_t
+    return 2.0 * rate if cavity.asymmetric_input else rate
+
+
 def _detected_photons(n, cavity: CavityParams, tau: float):
     """output_photons for a photon number n, a float or an array."""
-    n_out = n * cavity.kappa_t * tau
-    return 2.0 * n_out if cavity.asymmetric_input else n_out
+    return _detected_rate(n, cavity) * tau
 
 
 def _intensity_snr(n_out_empty, n_out_atom):
@@ -97,18 +102,15 @@ def _intensity_snr(n_out_empty, n_out_atom):
     return (n_out_empty - n_out_atom) * lit / np.sqrt(n_out_atom + (n_out_atom <= 0))
 
 
-def intensity_report(
-    atom: AtomParams, cavity: CavityParams, drive: DriveParams, g_local: float | None = None
-) -> ResonantReport:
+def intensity_report(atom: AtomParams, cavity: CavityParams, drive: DriveParams) -> ResonantReport:
     """Intensity-difference statistic at arbitrary detunings (no resonance check)."""
-    g = cavity.g_max if g_local is None else g_local
     empty = empty_cavity_state(cavity, drive)
-    state = solve_stationary(atom, cavity, drive, g_local=g)
+    state = solve_stationary(atom, cavity, drive)
     n_out_empty = output_photons(empty, cavity, drive)
     n_out_atom = output_photons(state, cavity, drive)
     snr = float(_intensity_snr(n_out_empty, n_out_atom))
     m = 2.0 * atom.gamma * drive.tau * state.rho11
-    saturation = 2.0 * g * g * state.n_photons / atom.gamma**2
+    saturation = 2.0 * cavity.g_max * cavity.g_max * state.n_photons / atom.gamma**2
     return ResonantReport(
         n_out_empty=n_out_empty,
         n_out_atom=n_out_atom,

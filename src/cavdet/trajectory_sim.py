@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import ConfigError, QuasiStaticViolated, StepTooLarge
 from .params import HBAR, K_B, KHZ, AtomParams, CavityParams, DriveParams, US, require_finite
-from .steady_state import _lower_branch, empty_cavity_state, stationary_scan
+from .resonant_detection import _detected_rate
+from .steady_state import _lower_branch, _scaled, empty_cavity_state, stationary_scan
 
 PRESENCE_WAISTS = 3.0  # |y| within this many waists counts as "atom present"
 _DIP_SWEEP = (1, 2, 3, 4, 5)  # persistence conventions (in strides) for the dark-rate spread
@@ -169,7 +170,7 @@ def local_coupling(position, cavity: CavityParams, atom: AtomParams):
     return float(g) if p.ndim == 1 else g
 
 
-def windowed_counts(click_times, window: float, stride: float, duration: float | None = None):
+def windowed_counts(click_times, window: float, stride: float, duration: float):
     """Sliding-window click counts.
 
     Windows are [t, t + window) with starts spaced by stride from zero up
@@ -178,8 +179,6 @@ def windowed_counts(click_times, window: float, stride: float, duration: float |
     if stride > window:
         raise ValueError("stride must not exceed the window")
     clicks = np.asarray(click_times, dtype=float)
-    if duration is None:
-        duration = float(clicks[-1]) if clicks.size else window
     n_windows = int(math.floor((duration - window) / stride + 1e-9)) + 1
     if n_windows < 1:
         raise ValueError("duration shorter than one window")
@@ -226,10 +225,6 @@ def _poisson_times(times, rate, rng: np.random.Generator) -> np.ndarray:
     return t
 
 
-def _detected_rate_factor(cavity: CavityParams) -> float:
-    return 2.0 * cavity.kappa_t if cavity.asymmetric_input else cavity.kappa_t
-
-
 def _check_step(atom, cavity, guide, sim):
     v_char = guide.mean_velocity + 4.0 * math.sqrt(K_B * guide.temperature / atom.mass)
     bound = min(0.1 / guide.trap_omega, atom.wavelength / (8.0 * max(v_char, 1e-12)))
@@ -250,7 +245,7 @@ def _check_step(atom, cavity, guide, sim):
 def _record(times, position, n_t, rho11_t, gam, cavity, sim, rng) -> TrajectoryRecord:
     """Scattered photons, detector clicks and windowed counts of one transit."""
     m_scattered = float(np.trapezoid(2.0 * gam * rho11_t, times))
-    clicks = _poisson_times(times, n_t * _detected_rate_factor(cavity), rng)
+    clicks = _poisson_times(times, _detected_rate(n_t, cavity), rng)
     window_times, counts = windowed_counts(clicks, sim.window, sim.stride, duration=sim.duration)
     return TrajectoryRecord(
         times=times,
@@ -340,10 +335,7 @@ def simulate_block(
     n_steps = int(round(sim.duration / sim.dt))
     times = np.arange(n_steps + 1) * sim.dt
     gam = atom.gamma
-    e2 = drive.j_in * cavity.kappa_t / gam**2
-    kap_s = cavity.kappa / gam
-    da_s = atom.delta_a / gam
-    dc_s = cavity.delta_c / gam
+    _, e2, kap_s, da_s, dc_s = _scaled(atom, cavity, 0.0, drive.j_in)
     d0 = da_s * da_s + 1.0
     neg_inv_w0sq = -1.0 / cavity.waist**2
     k_opt = atom.k
@@ -524,7 +516,7 @@ def dark_rates(
     threshold events.  Returns (rate, 95% Poisson CI, rate range across
     dip-persistence conventions of 1 to 5 strides).
     """
-    rate0 = empty_cavity_state(cavity, drive).n_photons * _detected_rate_factor(cavity)
+    rate0 = _detected_rate(empty_cavity_state(cavity, drive).n_photons, cavity)
     span_total = sim.dark_windows * sim.window
     rng = _dark_rng(sim.seed)
     n_clicks = rng.poisson(rate0 * span_total)

@@ -539,6 +539,39 @@ def test_cli_simulate_streamed_rows_match_per_value_format(tmp_path):
         assert [l for l in lines[:-1] if not l.startswith("# ")][1:] == rows
 
 
+@pytest.mark.parametrize(
+    "key, value", [("window_us", 7.7), ("window_us", 8), ("threshold", 11.0)]
+)
+def test_cli_steady_and_simulate_stamp_one_digest(tmp_path, key, value):
+    raw = json.loads(Path(TRANSIT).read_text())
+    raw["sim"].update({"n_atoms": 2, key: value})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert run(["steady", "--config", str(config), "--out", str(tmp_path / "steady.json")]) == 0
+    assert run(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+    digest = json.loads((tmp_path / "steady.json").read_text())["config_sha256"]
+    report = json.loads((tmp_path / "sim" / "report.json").read_text())
+    assert report["config_sha256"] == digest == parse_config(raw).digest
+    assert report["window_us"] == report["config"]["sim"]["window_us"] == raw["sim"]["window_us"]
+
+
+def test_cli_simulate_flags_write_what_a_config_holding_them_writes(tmp_path):
+    raw = json.loads(Path(TRANSIT).read_text())
+    raw["sim"].update({"n_atoms": 2, "window_us": 7.7})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    by_file, by_flags = tmp_path / "file", tmp_path / "flags"
+    assert run(["simulate", "--config", str(config), "--out", str(by_file)]) == 0
+    argv = ["simulate", "--config", TRANSIT, "--out", str(by_flags)]
+    assert run(argv + ["--atoms", "2", "--window-us", "7.7"]) == 0
+    for name in ("trajectories.csv", "clicks.csv", "report.json"):
+        assert (by_file / name).read_bytes() == (by_flags / name).read_bytes()
+    # and what they write is the config file's own record, as steady stamps it
+    report = json.loads((by_flags / "report.json").read_text())
+    cfg = load_config(config)
+    assert (report["config"], report["config_sha256"]) == (cfg.resolved, cfg.digest)
+
+
 def test_cli_simulate_failure_leaves_earlier_output(tmp_path, monkeypatch, capsys):
     out = tmp_path / "sim"
     argv = ["simulate", "--config", TRANSIT, "--out", str(out), "--atoms", "2"]

@@ -51,10 +51,18 @@ def test_waist_over_radius_depends_only_on_v(design):
 
 
 def test_multimode_fiber_warns():
-    fat = FiberCavityDesign(fiber_length=L_REF, core_radius=5e-6)
-    assert v_number(fat) > 3.0
     with pytest.warns(ParaxialWarning):
-        mode_waist(fat)
+        fat = FiberCavityDesign(fiber_length=L_REF, core_radius=5e-6)
+    assert v_number(fat) > 3.0
+
+
+def test_multimode_design_warns_once_through_derive():
+    # derive reaches the waist five times; the V check runs once, on the design
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fat = FiberCavityDesign(fiber_length=L_REF, core_radius=10e-6)
+        derive(fat, AtomParams(), mode_index=13)
+    assert [w.category for w in caught] == [ParaxialWarning]
 
 
 def test_gaussian_beam_params():

@@ -263,8 +263,9 @@ def _cmd_simulate(args) -> int:
         ("seed", str(sim.seed)),
     ]
     header = "".join(f"# {k}: {v}\n" for k, v in meta)
-    traj_row = "%d," + ",".join([_FLOAT] * 5) + "\n"
-    click_row = "%d," + _FLOAT + "\n"
+    # each atom's rows are one % over a repeated row template that carries its index
+    traj_row = ",".join([_FLOAT] * 5) + "\n"
+    click_row = _FLOAT + "\n"
     # stream into partial files, renamed only once the ensemble succeeds, so a
     # failed run leaves the previous run's three files as they were
     names = ("trajectories.csv", "clicks.csv")
@@ -277,12 +278,13 @@ def _cmd_simulate(args) -> int:
             click_file.write(header + "trajectory,t [us]\n")
 
             def sink(index, rec):
-                t_us = (rec.times[::args.decimate] / US).tolist()
-                xyz_um = (rec.position[::args.decimate] / UM).T.tolist()
-                rows = zip(t_us, *xyz_um, rec.n_photons[::args.decimate].tolist())
-                traj_file.write("".join(traj_row % (index, *values) for values in rows))
+                step = args.decimate
+                rows = np.column_stack(
+                    (rec.times[::step] / US, rec.position[::step] / UM, rec.n_photons[::step])
+                )
+                traj_file.write((f"{index},{traj_row}" * len(rows)) % tuple(rows.ravel().tolist()))
                 clicks_us = (rec.click_times / US).tolist()
-                click_file.write("".join(click_row % (index, t) for t in clicks_us))
+                click_file.write((f"{index},{click_row}" * len(clicks_us)) % tuple(clicks_us))
 
             report = run_ensemble(
                 cfg.atom,
@@ -307,7 +309,7 @@ def _cmd_simulate(args) -> int:
             "seed": sim.seed,
             "n_atoms": sim.n_atoms,
             "include_recoil": sim.include_recoil,
-            "threshold": sim.threshold,
+            "threshold": cfg.resolved["sim"]["threshold"],
             "window_us": cfg.resolved["sim"]["window_us"],
             "efficiency": report.efficiency,
             "dark_rate_per_s": report.dark_rate,

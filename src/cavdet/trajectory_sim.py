@@ -31,9 +31,12 @@ from .steady_state import _lower_branch, _scaled, empty_cavity_state, stationary
 
 PRESENCE_WAISTS = 3.0  # |y| within this many waists counts as "atom present"
 _DIP_SWEEP = (1, 2, 3, 4, 5)  # persistence conventions (in strides) for the dark-rate spread
-# most atoms stepped together in one block: position, N and rho11 cost 40 B
+# most atoms stepped together with recoil: position, N and rho11 cost 40 B
 # per atom-step, so 2,001 steps x 512 atoms hold about 41 MB
 BLOCK_ATOMS = 512
+# most atoms solved together without recoil: at 2,001 steps, blocks of 16
+# raised the 600-atom run's peak RSS by 0.2 MB, and larger ones ran slower
+BALLISTIC_ATOMS = 16
 _STEP_BLOCK = 256  # steps of uniforms and normals an atom draws at a time
 
 
@@ -242,6 +245,15 @@ def _check_step(atom, cavity, guide, sim):
         )
 
 
+def _rho11(g2, n, d0):
+    """Excited-state population at Gamma-scaled g^2 and photon number n.
+
+    d0 = (delta_a/Gamma)^2 + 1, as _lower_branch forms it.
+    """
+    g2n = g2 * n
+    return g2n / (d0 + 2.0 * g2n)
+
+
 def _record(times, position, n_t, rho11_t, gam, cavity, sim, rng) -> TrajectoryRecord:
     """Scattered photons, detector clicks and windowed counts of one transit."""
     m_scattered = float(np.trapezoid(2.0 * gam * rho11_t, times))
@@ -268,29 +280,10 @@ def simulate_trajectory(
 ) -> TrajectoryRecord:
     """One atom transit with quasi-static field and Poisson detector clicks.
 
-    Without recoil the kinematics are closed-form and the photon numbers
-    are solved vectorized over the whole trajectory.  With recoil this is
-    simulate_block for a block of one atom.
+    This is simulate_block for a block of one atom, with or without
+    recoil, so a record is the same alone and inside any block.
     """
-    if sim.include_recoil:
-        return simulate_block(atom, cavity, drive, guide, sim, [rng])[0]
-    _check_step(atom, cavity, guide, sim)
-    pos, vel = sample_initial(guide, atom, cavity, rng)
-    n_steps = int(round(sim.duration / sim.dt))
-    times = np.arange(n_steps + 1) * sim.dt
-    gam = atom.gamma
-    om = guide.trap_omega
-    cos_t, sin_t = np.cos(om * times), np.sin(om * times)
-    position = np.empty((n_steps + 1, 3))
-    position[:, 0] = pos[0] * cos_t + (vel[0] / om) * sin_t
-    position[:, 1] = pos[1] + vel[1] * times
-    position[:, 2] = pos[2] * cos_t + (vel[2] / om) * sin_t
-    g_t = local_coupling(position, cavity, atom)
-    n_t = stationary_scan(atom, cavity, drive, g_t)
-    g2s = (g_t / gam) ** 2
-    d0 = (atom.delta_a / gam) ** 2 + 1.0
-    rho11_t = g2s * n_t / (d0 + 2.0 * g2s * n_t)
-    return _record(times, position, n_t, rho11_t, gam, cavity, sim, rng)
+    return simulate_block(atom, cavity, drive, guide, sim, [rng])[0]
 
 
 def _kick_count(u: float, lam: float, p0: float) -> int:
@@ -311,25 +304,25 @@ def simulate_block(
     sim: SimConfig,
     rngs,
 ) -> list[TrajectoryRecord]:
-    """Transits of a block of atoms, one generator each, stepped in lockstep.
+    """Transits of a block of atoms, one generator each, as arrays over the block.
 
-    With recoil, each step applies hbar*k kicks in isotropic directions at
-    the spontaneous rate 2*Gamma*rho11 plus a Gaussian axial
-    momentum-diffusion kick, so the motion is integrated step by step
-    (exact harmonic rotations, so the integrator itself introduces no
-    secular error), all atoms of the block at once as arrays.  Each atom
-    draws from its own generator, in this order: its initial condition;
-    for each run of _STEP_BLOCK steps, the uniforms that set its Poisson
-    kick counts by inversion and its axial-diffusion normals; the
-    directions of each of its kicks as it happens; its detector clicks
-    after the transit.  Each step's photon numbers are one _lower_branch
-    call, warm-started from the step before, so each is a checked root
-    that depends only on its own atom.  Record i therefore depends only on
-    rngs[i], not on the block it is stepped in.  Without recoil each atom
-    is simulate_trajectory on its own.
+    Without recoil the kinematics are closed-form: the whole block's
+    positions are one (atoms, steps, 3) array, and its photon numbers are
+    one cold stationary_scan over the (atoms, steps) couplings.  With
+    recoil, each step applies hbar*k kicks in isotropic directions at the
+    spontaneous rate 2*Gamma*rho11 plus a Gaussian axial momentum-diffusion
+    kick, so the motion is integrated step by step (exact harmonic
+    rotations, so the integrator itself introduces no secular error), all
+    atoms of the block at once; each step's photon numbers are one
+    _lower_branch call, warm-started from the step before.  Either way each
+    photon number is a checked root whose Newton sequence depends only on
+    its own element.  Each atom draws from its own generator, in this
+    order: its initial condition; with recoil, for each run of _STEP_BLOCK
+    steps, the uniforms that set its Poisson kick counts by inversion and
+    its axial-diffusion normals, then the directions of each of its kicks
+    as it happens; its detector clicks after the transit.  Record i
+    therefore depends only on rngs[i], not on the block it is solved in.
     """
-    if not sim.include_recoil:
-        return [simulate_trajectory(atom, cavity, drive, guide, sim, rng) for rng in rngs]
     _check_step(atom, cavity, guide, sim)
     n_atoms = len(rngs)
     n_steps = int(round(sim.duration / sim.dt))
@@ -337,6 +330,22 @@ def simulate_block(
     gam = atom.gamma
     _, e2, kap_s, da_s, dc_s = _scaled(atom, cavity, 0.0, drive.j_in)
     d0 = da_s * da_s + 1.0
+    om = guide.trap_omega
+    initial = [sample_initial(guide, atom, cavity, rng) for rng in rngs]
+    pos = np.array([p for p, _ in initial])
+    vel = np.array([v for _, v in initial])
+    if not sim.include_recoil:
+        cos_t, sin_t = np.cos(om * times)[:, None], np.sin(om * times)[:, None]
+        position = np.empty((n_atoms, n_steps + 1, 3))
+        position[..., ::2] = pos[:, None, ::2] * cos_t + (vel[:, None, ::2] / om) * sin_t
+        position[..., 1] = pos[:, 1:2] + vel[:, 1:2] * times
+        g_t = local_coupling(position, cavity, atom)
+        n_t = stationary_scan(atom, cavity, drive, g_t)
+        rho11_t = _rho11(_scaled(atom, cavity, g_t, drive.j_in)[0], n_t, d0)
+        return [
+            _record(times, position[j], n_t[j], rho11_t[j], gam, cavity, sim, rng)
+            for j, rng in enumerate(rngs)
+        ]
     neg_inv_w0sq = -1.0 / cavity.waist**2
     k_opt = atom.k
     inv_gam2 = 1.0 / gam**2
@@ -345,14 +354,10 @@ def simulate_block(
     # axial diffusion kick: normal * diff_scale * g_env / (Gamma*kappa + g_local^2)
     diff_scale = hk_m * math.sqrt(2.0 * gam * drive.j_in * cavity.kappa_t * dt)
     gk = gam * cavity.kappa
-    om = guide.trap_omega
     # one step of the harmonic guide as a rotation of (position, velocity)
     cw, sw_om, om_sw = math.cos(om * dt), math.sin(om * dt) / om, om * math.sin(om * dt)
     kick_rate = 2.0 * gam * dt  # Poisson mean of the kicks per unit rho11
 
-    initial = [sample_initial(guide, atom, cavity, rng) for rng in rngs]
-    pos = np.array([p for p, _ in initial])
-    vel = np.array([v for _, v in initial])
     q, vq = pos[:, ::2].T.copy(), vel[:, ::2].T.copy()  # (x, z) rows, rotated by the guide
     y, vy = pos[:, 1].copy(), vel[:, 1].copy()
     position = np.empty((n_atoms, n_steps + 1, 3))
@@ -364,8 +369,7 @@ def simulate_block(
         g_loc2 = (g_env * np.cos(k_opt * q[0])) ** 2
         g2 = g_loc2 * inv_gam2
         n = _lower_branch(g2, e2, kap_s, da_s, dc_s, n)
-        g2n = g2 * n
-        rho = g2n / (d0 + 2.0 * g2n)
+        rho = _rho11(g2, n, d0)
         position[:, i, ::2] = q.T
         position[:, i, 1] = y
         n_t[:, i] = n
@@ -398,9 +402,9 @@ def simulate_block(
     ]
 
 
-def _blocks(n_atoms: int) -> list[tuple[int, int]]:
-    """Fewest equal contiguous blocks of at most BLOCK_ATOMS."""
-    count = -(-n_atoms // BLOCK_ATOMS)
+def _blocks(n_atoms: int, most: int) -> list[tuple[int, int]]:
+    """Fewest equal contiguous blocks of at most `most` atoms."""
+    count = -(-n_atoms // most)
     edges = [k * n_atoms // count for k in range(count + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -544,20 +548,19 @@ def run_ensemble(
 
     Per-trajectory RNG streams are addressed by (seed, index), so the
     report does not depend on how the atoms are split into blocks.  The
-    atoms run in process, in contiguous blocks (see _blocks).
-    record_sink, if given, receives (index, TrajectoryRecord) in index
-    order.
+    atoms run in process, one simulate_block call per contiguous block of
+    at most BLOCK_ATOMS atoms with recoil and BALLISTIC_ATOMS without (see
+    _blocks).  record_sink, if given, receives (index, TrajectoryRecord)
+    in index order.
     """
     # the dark stream first: its large arrays are freed before any block is held
     rate, ci, conv = dark_rates(cavity, drive, sim)
     detections = []
     m_values = np.empty(sim.n_atoms)
-    for start, stop in _blocks(sim.n_atoms):
+    most = BLOCK_ATOMS if sim.include_recoil else BALLISTIC_ATOMS
+    for start, stop in _blocks(sim.n_atoms, most):
         rngs = [trajectory_rng(sim.seed, i) for i in range(start, stop)]
-        if sim.include_recoil:
-            records = simulate_block(atom, cavity, drive, guide, sim, rngs)
-        else:  # one record at a time, so no block of records is held
-            records = (simulate_trajectory(atom, cavity, drive, guide, sim, rng) for rng in rngs)
+        records = simulate_block(atom, cavity, drive, guide, sim, rngs)
         for index, record in enumerate(records, start):
             m_values[index] = record.m_scattered
             hit = _first_detection(record, cavity, sim)

@@ -552,7 +552,9 @@ def test_cli_steady_and_simulate_stamp_one_digest(tmp_path, key, value):
     digest = json.loads((tmp_path / "steady.json").read_text())["config_sha256"]
     report = json.loads((tmp_path / "sim" / "report.json").read_text())
     assert report["config_sha256"] == digest == parse_config(raw).digest
-    assert report["window_us"] == report["config"]["sim"]["window_us"] == raw["sim"]["window_us"]
+    # the top-level values are the file's own, 11.0 as 11.0 and 8 as 8
+    for name in ("window_us", "threshold"):
+        assert repr(report[name]) == repr(report["config"]["sim"][name]) == repr(raw["sim"][name])
 
 
 def test_cli_simulate_flags_write_what_a_config_holding_them_writes(tmp_path):
@@ -589,6 +591,51 @@ def test_cli_simulate_failure_leaves_earlier_output(tmp_path, monkeypatch, capsy
     assert run(argv + ["--seed", "5"]) == 3
     assert "forced after the first trajectory" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("decimate", [1, 7, 5000])
+@pytest.mark.parametrize("j_in_per_us", [10.0, 1e-9])
+def test_cli_simulate_csv_rows_are_pinned(tmp_path, decimate, j_in_per_us):
+    # reference: one "%d," and one "%.12g" per value, row by row; the tiny
+    # pump gives atoms with no clicks, and 5000 exceeds the 2,000 steps
+    raw = json.loads(Path(TRANSIT).read_text())
+    raw["drive"]["j_in_per_us"] = j_in_per_us
+    raw["sim"].update({"n_atoms": 3, "seed": 2, "include_recoil": False})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "sim"
+    argv = ["simulate", "--config", str(config), "--out", str(out)]
+    assert run(argv + ["--decimate", str(decimate)]) == 0
+    cfg = load_config(config)
+    traj, clicks, click_counts = [], [], []
+
+    def sink(index, rec):
+        for i in range(0, rec.times.size, decimate):
+            x, y, z = rec.position[i] / UM
+            values = (rec.times[i] / US, x, y, z, rec.n_photons[i])
+            traj.append("%d," % index + ",".join("%.12g" % v for v in values))
+        clicks.extend("%d," % index + "%.12g" % (t / US) for t in rec.click_times)
+        click_counts.append(rec.click_times.size)
+
+    run_ensemble(cfg.atom, cfg.cavity, cfg.drive, cfg.guide, cfg.sim, record_sink=sink)
+    assert len(traj) == 3 * len(range(0, 2001, decimate))
+    assert (min(click_counts) == 0) == (j_in_per_us < 1.0)
+    for name, rows in (("trajectories.csv", traj), ("clicks.csv", clicks)):
+        lines = (out / name).read_bytes().decode().split("\n")
+        assert lines[-1] == ""
+        assert [l for l in lines[:-1] if not l.startswith("# ")][1:] == rows
+
+
+def test_cli_simulate_sink_failure_leaves_no_partial_file(tmp_path, monkeypatch):
+    out = tmp_path / "sim"
+
+    def sink_gets_a_bad_record(*args, record_sink, **kwargs):
+        record_sink(0, None)  # the sink itself raises on it
+
+    monkeypatch.setattr(cli, "run_ensemble", sink_gets_a_bad_record)
+    with pytest.raises(AttributeError):
+        run(["simulate", "--config", TRANSIT, "--out", str(out), "--atoms", "2"])
+    assert out.is_dir() and list(out.iterdir()) == []
 
 
 def test_cli_design_cavity(tmp_path):

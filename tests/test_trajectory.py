@@ -26,6 +26,7 @@ from cavdet import (
     local_coupling,
     run_ensemble,
     sample_initial,
+    simulate_block,
     simulate_trajectory,
     solve_stationary,
     stationary_photon_numbers,
@@ -298,7 +299,7 @@ def test_worker_count_does_not_change_results(
         record_sink=lambda i, r: sink1.__setitem__(i, r),
     )
     monkeypatch.setattr(trajectory_sim, "BLOCK_ATOMS", 4)
-    assert trajectory_sim._blocks(8) == [(0, 4), (4, 8)]
+    assert trajectory_sim._blocks(8, trajectory_sim.BLOCK_ATOMS) == [(0, 4), (4, 8)]
     rep2 = run_ensemble(
         atom, transit_cavity, transit_drive, guide, sim,
         record_sink=lambda i, r: sink2.__setitem__(i, r),
@@ -317,9 +318,12 @@ def test_worker_count_does_not_change_results(
 
 def _same_record(a, b):
     return (
-        np.array_equal(a.position, b.position)
+        np.array_equal(a.times, b.times)
+        and np.array_equal(a.position, b.position)
         and np.array_equal(a.n_photons, b.n_photons)
         and np.array_equal(a.click_times, b.click_times)
+        and np.array_equal(a.window_times, b.window_times)
+        and np.array_equal(a.windowed_counts, b.windowed_counts)
         and a.m_scattered == b.m_scattered
     )
 
@@ -335,7 +339,7 @@ def test_trajectory_does_not_depend_on_its_block(
     sinks, reports = [], []
     for block_atoms, blocks in layouts.items():
         monkeypatch.setattr(trajectory_sim, "BLOCK_ATOMS", block_atoms)
-        assert trajectory_sim._blocks(80) == blocks
+        assert trajectory_sim._blocks(80, block_atoms) == blocks
         sink = {}
         reports.append(
             run_ensemble(
@@ -355,11 +359,53 @@ def test_trajectory_does_not_depend_on_its_block(
         assert _same_record(alone, sinks[0][i])
 
 
+def test_ballistic_record_does_not_depend_on_its_block(
+    monkeypatch, atom, transit_cavity, transit_drive, guide
+):
+    # without recoil a block is one cold stationary_scan over (atoms, steps);
+    # 40 atoms are more than one block of BALLISTIC_ATOMS
+    sim = SimConfig(seed=3, n_atoms=40, duration=40 * US, dark_windows=100, include_recoil=False)
+    assert 40 > trajectory_sim.BALLISTIC_ATOMS
+    layouts = {
+        16: [(0, 13), (13, 26), (26, 40)],
+        40: [(0, 40)],
+        7: [(0, 6), (6, 13), (13, 20), (20, 26), (26, 33), (33, 40)],
+    }
+    sinks, reports = [], []
+    for block_atoms, blocks in layouts.items():
+        monkeypatch.setattr(trajectory_sim, "BALLISTIC_ATOMS", block_atoms)
+        assert trajectory_sim._blocks(40, block_atoms) == blocks
+        sink = {}
+        reports.append(
+            run_ensemble(
+                atom, transit_cavity, transit_drive, guide, sim, record_sink=sink.__setitem__
+            )
+        )
+        sinks.append(sink)
+    for rep, sink in zip(reports[1:], sinks[1:]):
+        assert rep == reports[0]  # efficiency, dark rate, mean M and detections
+        assert list(sink) == list(sinks[0]) == list(range(40))
+        assert all(_same_record(sink[i], sinks[0][i]) for i in range(40))
+    assert reports[0].detections
+    # blocks of 16 with a partial last block of 8, called directly
+    direct = []
+    for start in range(0, 40, 16):
+        rngs = [trajectory_rng(3, i) for i in range(start, min(start + 16, 40))]
+        direct += simulate_block(atom, transit_cavity, transit_drive, guide, sim, rngs)
+    assert len(direct) == 40
+    for i in range(40):
+        alone = simulate_trajectory(
+            atom, transit_cavity, transit_drive, guide, sim, trajectory_rng(3, i)
+        )
+        assert _same_record(alone, sinks[0][i])
+        assert _same_record(direct[i], sinks[0][i])
+
+
 def test_blocks_are_equal_and_fewest(monkeypatch):
     for block_atoms in (trajectory_sim.BLOCK_ATOMS, 128, 7):
         monkeypatch.setattr(trajectory_sim, "BLOCK_ATOMS", block_atoms)
         for n_atoms in (1, 7, 80, 128, 129, 500, 512, 513, 600, 1100):
-            blocks = trajectory_sim._blocks(n_atoms)
+            blocks = trajectory_sim._blocks(n_atoms, block_atoms)
             sizes = [stop - start for start, stop in blocks]
             assert blocks[0][0] == 0 and blocks[-1][1] == n_atoms
             assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))

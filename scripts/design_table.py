@@ -14,10 +14,10 @@ from cavdet import (
     MHZ,
     US,
     AtomParams,
-    CavityParams,
     FiberCavityDesign,
     cooperativity,
     derive,
+    design_to_cavity,
     max_snr_over_pump,
 )
 
@@ -43,13 +43,7 @@ def main():
     rows = []
     for m in range(1, args.m_max + 1):
         der = derive(design, atom, mode_index=m)
-        cavity = CavityParams(
-            g_max=der.g_max,
-            kappa_t=der.kappa_t,
-            kappa_loss=der.kappa_gap + args.extra_loss_mhz * MHZ,
-            waist=der.waist,
-            length=design.fiber_length,
-        )
+        cavity = design_to_cavity(der, design.fiber_length, args.extra_loss_mhz * MHZ)
         opt = max_snr_over_pump(atom, cavity, args.tau_us * US)
         rows.append(
             {

@@ -2,8 +2,8 @@
 
 Every output is machine-readable (CSV with # metadata lines, or JSON) and
 byte-identical across runs for a fixed config and seed.
-Exit codes: 0 success, 2 configuration error, 3 model/domain error or
-numerical failure.
+Exit codes: 0 success, 2 configuration error (including an input outside
+the solver's range), 3 model/domain error or numerical failure.
 """
 from __future__ import annotations
 
@@ -21,9 +21,9 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .config import load_config, parse_config
+from .config import PUMP_RANGE_PER_US, RATE_RANGE_MHZ, in_range, load_config, parse_config
 from .errors import CavdetError, ConfigError, NotDispersive, NotResonant
-from .fiber_cavity import FiberCavityDesign, derive, v_number
+from .fiber_cavity import FiberCavityDesign, derive, design_to_cavity, v_number
 from .homodyne_detection import dispersive_saturation_pump, homodyne_report
 from .motion import spatial_averages
 from .params import MHZ, UM, US, AtomParams, DriveParams
@@ -34,13 +34,11 @@ from .trajectory_sim import run_ensemble
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """One scan axis: variable name, bounds, point count, spacing."""
+    """One log-spaced scan axis: bounds and point count."""
 
-    variable: str
     lo: float
     hi: float
     points: int
-    log: bool = True
 
     def __post_init__(self):
         if self.points < 2:
@@ -49,13 +47,11 @@ class ScanSpec:
             raise ConfigError(f"scan bounds must be finite, got lo={self.lo}, hi={self.hi}")
         if self.hi <= self.lo:
             raise ConfigError("scan bounds must satisfy lo < hi")
-        if self.log and self.lo <= 0:
+        if self.lo <= 0:
             raise ConfigError("log scan bounds must be positive")
 
     def grid(self) -> np.ndarray:
-        if self.log:
-            return np.logspace(math.log10(self.lo), math.log10(self.hi), self.points)
-        return np.linspace(self.lo, self.hi, self.points)
+        return np.logspace(math.log10(self.lo), math.log10(self.hi), self.points)
 
 
 _FLOAT = "%.12g"  # every float in a CSV
@@ -77,10 +73,15 @@ def _write_csv(path, meta: list[tuple[str, str]], header: list[str], rows) -> No
 
 
 def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", newline="\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # NaN and infinity are not JSON
+        raise ConfigError(f"an output is not finite ({exc}); the inputs are out of range") from exc
+    Path(path).write_text(text + "\n", newline="\n")
 
 
 def _pump_grid(args, default_center: float) -> ScanSpec:
+    """The pump grid of a scan, in 1/s; both ends must lie in PUMP_RANGE_PER_US."""
     if args.jmin_per_us is not None and args.jmax_per_us is not None:
         lo, hi = args.jmin_per_us * 1e6, args.jmax_per_us * 1e6
     elif args.jmin_per_us is None and args.jmax_per_us is None:
@@ -91,13 +92,26 @@ def _pump_grid(args, default_center: float) -> ScanSpec:
         lo, hi = default_center / half, default_center * half
     else:
         raise ConfigError("give both --jmin-per-us and --jmax-per-us, or neither")
-    return ScanSpec(variable="j_in", lo=lo, hi=hi, points=args.points)
+    spec = ScanSpec(lo=lo, hi=hi, points=args.points)
+    if not (in_range(lo / 1e6, PUMP_RANGE_PER_US) and in_range(hi / 1e6, PUMP_RANGE_PER_US)):
+        lo_us, hi_us = PUMP_RANGE_PER_US
+        raise ConfigError(
+            f"pump grid {lo / 1e6:g} to {hi / 1e6:g}/us (--jmin-per-us, --jmax-per-us or "
+            f"--decades) must lie between {lo_us:g} and {hi_us:g}/us"
+        )
+    return spec
 
 
 def _cmd_steady(args) -> int:
     cfg = load_config(args.config)
-    if args.g_frac is not None and not math.isfinite(args.g_frac):
-        raise ConfigError(f"--g-frac must be finite, got {args.g_frac}")
+    # the local coupling, like cavity.g_mhz, must be in RATE_RANGE_MHZ (NaN and inf are not)
+    if args.g_frac is not None and not in_range(
+        args.g_frac * cfg.resolved["cavity"]["g_mhz"], RATE_RANGE_MHZ
+    ):
+        raise ConfigError(
+            f"--g-frac must be finite and keep the local coupling in the range of "
+            f"cavity.g_mhz, got {args.g_frac}"
+        )
     g_local = None if args.g_frac is None else args.g_frac * cfg.cavity.g_max
     state = solve_stationary(cfg.atom, cfg.cavity, cfg.drive, g_local=g_local)
     empty = empty_cavity_state(cfg.cavity, cfg.drive)
@@ -351,7 +365,7 @@ def _cmd_design_cavity(args) -> int:
     )
     atom = AtomParams(gamma=args.gamma_mhz * MHZ)
     derived = derive(design, atom, mode_index=args.mode_index)
-    extra = args.extra_loss_mhz * MHZ
+    cavity = design_to_cavity(derived, design.fiber_length, args.extra_loss_mhz * MHZ)
     payload = {
         "version": __version__,
         "inputs": {
@@ -376,12 +390,12 @@ def _cmd_design_cavity(args) -> int:
         "g_mhz": derived.g_max / MHZ,
         "gap_amplitude_ratio": derived.gap_amplitude_ratio,
         "cavity": {
-            "g_mhz": derived.g_max / MHZ,
-            "kappa_t_mhz": derived.kappa_t / MHZ,
-            "kappa_loss_mhz": (derived.kappa_gap + extra) / MHZ,
-            "delta_c_mhz": 0.0,
-            "waist_um": derived.waist / UM,
-            "length_mm": length / 1e-3,
+            "g_mhz": cavity.g_max / MHZ,
+            "kappa_t_mhz": cavity.kappa_t / MHZ,
+            "kappa_loss_mhz": cavity.kappa_loss / MHZ,
+            "delta_c_mhz": cavity.delta_c / MHZ,
+            "waist_um": cavity.waist / UM,
+            "length_mm": cavity.length / 1e-3,
         },
     }
     _write_json(args.out, payload)

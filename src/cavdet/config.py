@@ -6,7 +6,8 @@ nowhere else.  Missing fields fall back to the defaults below; unknown
 sections or fields are errors so typos cannot silently revert a value.
 Each value must have the JSON type of its default: a boolean for a flag,
 an integer (a number with no fractional part) for a count, and any
-number but a boolean for a quantity.
+number but a boolean for a quantity.  The inputs of the stationary solver
+must also lie in RANGES, so that its powers of them stay finite.
 """
 from __future__ import annotations
 
@@ -51,6 +52,29 @@ DEFAULTS: dict = {
         "dark_windows": 20000,
     },
 }
+
+# (lo, hi) per solver input: its magnitude must be 0 or within [lo, hi].  The
+# solver works in units of Gamma, and its cubic's discriminant multiplies up
+# to a dozen of these rates, their ratios and the pump; inside these ranges
+# no such product exceeds about 1e160, and the solver is checked at their
+# corners.  Rates run from 1 Hz to 1 THz, the pump from 1e-6 to 1e18 photons/s.
+RATE_RANGE_MHZ = (1e-6, 1e6)
+PUMP_RANGE_PER_US = (1e-12, 1e12)
+RANGES = {
+    "atom.gamma_mhz": RATE_RANGE_MHZ,
+    "atom.delta_a_over_gamma": RATE_RANGE_MHZ,
+    "cavity.g_mhz": RATE_RANGE_MHZ,
+    "cavity.kappa_t_mhz": RATE_RANGE_MHZ,
+    "cavity.kappa_loss_mhz": RATE_RANGE_MHZ,
+    "cavity.delta_c_mhz": RATE_RANGE_MHZ,
+    "drive.j_in_per_us": PUMP_RANGE_PER_US,
+}
+
+
+def in_range(value: float, bounds: tuple[float, float]) -> bool:
+    """True if value is 0 or its magnitude lies within bounds; False for NaN."""
+    lo, hi = bounds
+    return value == 0.0 or lo <= abs(value) <= hi
 
 
 @dataclass(frozen=True)
@@ -145,6 +169,14 @@ def parse_config(raw: dict) -> RunConfig:
         include_recoil=sm["include_recoil"],
         dark_windows=int(sm["dark_windows"]),
     )
+    # after the parameter types, which name a value that is not finite
+    for name, bounds in RANGES.items():
+        section, key = name.split(".")
+        if not in_range(r[section][key], bounds):
+            raise ConfigError(
+                f"{name} must be 0 or between {bounds[0]:g} and {bounds[1]:g} in "
+                f"magnitude, got {r[section][key]!r}"
+            )
     return RunConfig(
         atom=atom,
         cavity=cavity,

@@ -10,7 +10,9 @@ dominant loss rate kappa_gap, while the phase budget of one round trip
 fixes the resonant gap sizes.
 
 All formulas are perturbative in d/z0 (gap small against the Rayleigh
-range); kappa_gap warns beyond d/z0 = 0.3.
+range); kappa_gap warns beyond d/z0 = 0.3.  derive collects what a design
+implies, and design_to_cavity turns that into the detection model's
+CavityParams.
 """
 from __future__ import annotations
 
@@ -27,9 +29,9 @@ from .params import C_LIGHT, AtomParams, CavityParams, require_finite
 class FiberCavityDesign:
     """Geometry and material inputs.
 
-    n_eff is the effective index k1/k0 of the guided mode; None falls back
-    to n_core, which matches the worked numbers this model was checked
-    against.  half_gap is d, half the mirror-to-mirror vacuum gap.
+    n_core stands in for the effective index k1/k0 of the guided mode,
+    which matches the worked numbers this model was checked against.
+    half_gap is d, half the mirror-to-mirror vacuum gap.
     """
 
     fiber_length: float
@@ -39,7 +41,6 @@ class FiberCavityDesign:
     n_clad: float = 1.496
     wavelength0: float = 780e-9
     mirror_transmission: float = 0.01
-    n_eff: float | None = None
 
     def __post_init__(self):
         require_finite(self, "design")
@@ -59,10 +60,6 @@ class FiberCavityDesign:
                 ParaxialWarning,
                 stacklevel=3,
             )
-
-    @property
-    def index(self) -> float:
-        return self.n_core if self.n_eff is None else self.n_eff
 
 
 @dataclass(frozen=True)
@@ -116,9 +113,9 @@ def gaussian_beam_params(w0: float, wavelength: float, z: float):
 
 def _fiber_phase(design: FiberCavityDesign) -> float:
     """Round-trip fiber reflection phase 2*arctan(tan(k1*L)/n), continuous form."""
-    k1 = design.index * 2.0 * math.pi / design.wavelength0
+    k1 = design.n_core * 2.0 * math.pi / design.wavelength0
     x = k1 * design.fiber_length
-    return 2.0 * math.atan2(math.sin(x), design.index * math.cos(x))
+    return 2.0 * math.atan2(math.sin(x), design.n_core * math.cos(x))
 
 
 def resonant_gaps(design: FiberCavityDesign, m_range) -> list[tuple[int, float]]:
@@ -138,35 +135,34 @@ def resonant_gaps(design: FiberCavityDesign, m_range) -> list[tuple[int, float]]
     return out
 
 
-def mode_match(design: FiberCavityDesign, half_gap: float | None = None) -> tuple[float, float]:
+def mode_match(design: FiberCavityDesign, half_gap: float) -> tuple[float, float]:
     """Overlap Q of the diverged gap beam with the far fiber mode: (|Q|, arg Q).
 
-    |Q| = w0/w(d) drops only second order in d/z0; the phase
-    arg Q = 2*k0*d - arctan(d/z0) carries the first-order Gouy deficit that
-    shifts the resonance condition.
+    At d = half_gap, |Q| = w0/w(d) drops only second order in d/z0; the
+    phase arg Q = 2*k0*d - arctan(d/z0) carries the first-order Gouy
+    deficit that shifts the resonance condition.
     """
-    d = design.half_gap if half_gap is None else half_gap
     w0 = mode_waist(design)
-    w, _, gouy, _ = gaussian_beam_params(w0, design.wavelength0, d)
+    w, _, gouy, _ = gaussian_beam_params(w0, design.wavelength0, half_gap)
     k0 = 2.0 * math.pi / design.wavelength0
-    return w0 / w, 2.0 * k0 * d - gouy
+    return w0 / w, 2.0 * k0 * half_gap - gouy
 
 
 def _mirror_factor(design: FiberCavityDesign) -> complex:
     """Field enhancement factor (1+n) - (1-n)*exp(-2i*k1*L) at the fiber end."""
-    n = design.index
+    n = design.n_core
     k1 = n * 2.0 * math.pi / design.wavelength0
     return (1.0 + n) - (1.0 - n) * cmath.exp(-2.0j * k1 * design.fiber_length)
 
 
-def kappa_gap(design: FiberCavityDesign, half_gap: float | None = None) -> float:
-    """Field decay rate from gap mode mismatch (rad/s).
+def kappa_gap(design: FiberCavityDesign, half_gap: float) -> float:
+    """Field decay rate from gap mode mismatch at d = half_gap (rad/s).
 
     2*kappa_gap = (c/2L)*(d/z0)^2*|factor/(2n)|^2 with the mirror factor
     above; quadratic in the gap, hence the warning when d/z0 is no longer
     small.
     """
-    d = design.half_gap if half_gap is None else half_gap
+    d = half_gap
     _, _, _, z0 = gaussian_beam_params(mode_waist(design), design.wavelength0, 0.0)
     if d / z0 > 0.3:
         warnings.warn(
@@ -175,7 +171,7 @@ def kappa_gap(design: FiberCavityDesign, half_gap: float | None = None) -> float
             ParaxialWarning,
             stacklevel=2,
         )
-    factor = abs(_mirror_factor(design) / (2.0 * design.index)) ** 2
+    factor = abs(_mirror_factor(design) / (2.0 * design.n_core)) ** 2
     return C_LIGHT / (4.0 * design.fiber_length) * (d / z0) ** 2 * factor
 
 
@@ -185,7 +181,7 @@ def coupling_g(design: FiberCavityDesign, atom: AtomParams) -> float:
     g = |factor| * sqrt(3*Gamma*c/(2*n^2*L*w0^2*k0^2)); largest when the
     fiber length puts a field node at the end face (antinode in the gap).
     """
-    n = design.index
+    n = design.n_core
     w0 = mode_waist(design)
     k0 = 2.0 * math.pi / design.wavelength0
     return abs(_mirror_factor(design)) * math.sqrt(
@@ -195,7 +191,7 @@ def coupling_g(design: FiberCavityDesign, atom: AtomParams) -> float:
 
 def kappa_t_mirror(design: FiberCavityDesign) -> float:
     """Output-mirror decay rate kappa_t = T*c/(4*n*L) (rad/s)."""
-    return design.mirror_transmission * C_LIGHT / (4.0 * design.index * design.fiber_length)
+    return design.mirror_transmission * C_LIGHT / (4.0 * design.n_core * design.fiber_length)
 
 
 def gap_amplitude_ratio(design: FiberCavityDesign) -> float:
@@ -203,12 +199,11 @@ def gap_amplitude_ratio(design: FiberCavityDesign) -> float:
     return abs(_mirror_factor(design)) / 2.0
 
 
-def nearest_mode_index(design: FiberCavityDesign, half_gap: float | None = None) -> int:
+def nearest_mode_index(design: FiberCavityDesign, half_gap: float) -> int:
     """Mode index m whose resonant gap is closest to the given half gap."""
-    d = design.half_gap if half_gap is None else half_gap
     k0 = 2.0 * math.pi / design.wavelength0
     _, _, _, z0 = gaussian_beam_params(mode_waist(design), design.wavelength0, 0.0)
-    return int(round((d * (2.0 * k0 - 1.0 / z0) + _fiber_phase(design)) / math.pi))
+    return int(round((half_gap * (2.0 * k0 - 1.0 / z0) + _fiber_phase(design)) / math.pi))
 
 
 def derive(
@@ -218,47 +213,55 @@ def derive(
 
     With mode_index given, the resonant gap for that index replaces
     design.half_gap; otherwise design.half_gap is used as-is and the
-    nearest mode index is reported.
+    nearest mode index is reported.  Inputs whose derived quantities
+    overflow, leave a math function's domain, or are not finite raise
+    ConfigError naming the design and the atom.
     """
-    if mode_index is not None:
-        gaps = resonant_gaps(design, [mode_index])
-        if not gaps:
-            raise ConfigError(f"mode index {mode_index} has no non-negative gap")
-        d = gaps[0][1] / 2.0
-        m = mode_index
-    else:
-        d = design.half_gap
-        m = nearest_mode_index(design)
-    w0 = mode_waist(design)
-    _, _, _, z0 = gaussian_beam_params(w0, design.wavelength0, 0.0)
-    q_mod, q_phase = mode_match(design, d)
-    return FiberCavityDerived(
-        waist=w0,
-        rayleigh=z0,
-        q_modulus=q_mod,
-        q_phase=q_phase,
-        kappa_gap=kappa_gap(design, d),
-        kappa_t=kappa_t_mirror(design),
-        g_max=coupling_g(design, atom),
-        gap_amplitude_ratio=gap_amplitude_ratio(design),
-        mode_index=m,
-        half_gap=d,
-    )
+    try:
+        if mode_index is not None:
+            gaps = resonant_gaps(design, [mode_index])
+            if not gaps:
+                raise ConfigError(f"mode index {mode_index} has no non-negative gap")
+            d = gaps[0][1] / 2.0
+            m = mode_index
+        else:
+            d = design.half_gap
+            m = nearest_mode_index(design, d)
+        w0 = mode_waist(design)
+        _, _, _, z0 = gaussian_beam_params(w0, design.wavelength0, 0.0)
+        q_mod, q_phase = mode_match(design, d)
+        derived = FiberCavityDerived(
+            waist=w0,
+            rayleigh=z0,
+            q_modulus=q_mod,
+            q_phase=q_phase,
+            kappa_gap=kappa_gap(design, d),
+            kappa_t=kappa_t_mirror(design),
+            g_max=coupling_g(design, atom),
+            gap_amplitude_ratio=gap_amplitude_ratio(design),
+            mode_index=m,
+            half_gap=d,
+        )
+    except (OverflowError, ValueError):  # ValueError: math domain error, e.g. sin(inf)
+        derived = None
+    if derived is None or not all(map(math.isfinite, vars(derived).values())):
+        raise ConfigError(f"{design} with {atom} is outside the fiber-gap model's float range")
+    return derived
 
 
 def design_to_cavity(
-    design: FiberCavityDesign, atom: AtomParams, extra_loss: float = 0.0
+    derived: FiberCavityDerived, fiber_length: float, extra_loss: float
 ) -> CavityParams:
-    """Bridge the design into detection-model cavity parameters.
+    """The detection-model cavity of a derived design, pumped on resonance.
 
-    The half gap must already be resonant (pick one via resonant_gaps).
-    extra_loss adds material or scattering losses on top of kappa_gap.
+    This is the one place a design becomes CavityParams.  fiber_length is
+    the design's; extra_loss adds material or scattering losses on top of
+    kappa_gap.
     """
     return CavityParams(
-        g_max=coupling_g(design, atom),
-        kappa_t=kappa_t_mirror(design),
-        kappa_loss=kappa_gap(design) + extra_loss,
-        delta_c=0.0,
-        waist=mode_waist(design),
-        length=design.fiber_length,
+        g_max=derived.g_max,
+        kappa_t=derived.kappa_t,
+        kappa_loss=derived.kappa_gap + extra_loss,
+        waist=derived.waist,
+        length=fiber_length,
     )

@@ -163,7 +163,6 @@ def optimal_kappa_t_homodyne(
     cavity: CavityParams,
     drive: DriveParams,
     bounds: tuple[float, float] | None = None,
-    rel_tol: float = 1e-4,
 ) -> KappaTOptimum:
     """Mirror transmission maximizing the pump-optimized homodyne SNR.
 
@@ -172,5 +171,5 @@ def optimal_kappa_t_homodyne(
     """
     check_dispersive(atom, cavity)
     return max_over_kappa_t(
-        _snr_hom_from_n, dispersive_saturation_pump, atom, cavity, drive.tau, bounds, rel_tol
+        _snr_hom_from_n, dispersive_saturation_pump, atom, cavity, drive.tau, bounds
     )

@@ -22,6 +22,7 @@ _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of the larger p
 _GRID_RTOL = 1e-6  # grid points this close to a grid objective's maximum are rescored with f
 _POLISH_RTOL = 1e-10  # golden_max's rel_tol for the polish, in log x
 _MAX_ITER = 200  # golden_max's step limit
+_KAPPA_T_RTOL = 1e-4  # golden_max's rel_tol for the kappa_t search, in log kappa_t
 
 
 def golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6):
@@ -187,15 +188,13 @@ class KappaTOptimum:
     at_upper_bound: bool
 
 
-def max_over_kappa_t(
-    snr, center, atom, cavity, tau: float, bounds=None, rel_tol: float = 1e-4
-) -> KappaTOptimum:
+def max_over_kappa_t(snr, center, atom, cavity, tau: float, bounds=None) -> KappaTOptimum:
     """Mirror transmission maximizing a scheme's pump-optimized SNR.
 
     snr and center are the scheme's, as in best_pump.  cavity supplies g_max
     and kappa_loss; its kappa_t is ignored and searched over in log space by
-    golden_max (Brent's method, down to a bracket rel_tol*(|a| + |b|) wide
-    in log kappa_t), on a 31-per-decade pump grid, and the optimum is
+    golden_max (Brent's method, down to a bracket _KAPPA_T_RTOL*(|a| + |b|)
+    wide in log kappa_t), on a 31-per-decade pump grid, and the optimum is
     re-evaluated on the full 61-per-decade grid.  Default bounds span
     [kappa_loss/20, 5*kappa_loss]; explicit bounds are required when
     kappa_loss = 0.  Results landing at a bound are flagged, not raised.
@@ -212,7 +211,7 @@ def max_over_kappa_t(
         trial = replace(cavity, kappa_t=math.exp(log_kt))
         return best_pump(snr, center, atom, trial, tau, per_decade=31)[1]
 
-    log_kt, _ = golden_max(objective, math.log(lo), math.log(hi), rel_tol=rel_tol)
+    log_kt, _ = golden_max(objective, math.log(lo), math.log(hi), rel_tol=_KAPPA_T_RTOL)
     kt = math.exp(log_kt)
     j_in, s = best_pump(snr, center, atom, replace(cavity, kappa_t=kt), tau)
     return KappaTOptimum(

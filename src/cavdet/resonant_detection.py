@@ -213,7 +213,6 @@ def optimal_kappa_t(
     cavity: CavityParams,
     drive: DriveParams,
     bounds: tuple[float, float] | None = None,
-    rel_tol: float = 1e-4,
 ) -> KappaTOptimum:
     """Mirror transmission maximizing the pump-optimized SNR.
 
@@ -221,7 +220,7 @@ def optimal_kappa_t(
     (see optimize.max_over_kappa_t for the bounds and the bound flags).
     """
     check_resonant(atom, cavity)
-    return max_over_kappa_t(_snr_from_n, saturation_pump, atom, cavity, drive.tau, bounds, rel_tol)
+    return max_over_kappa_t(_snr_from_n, saturation_pump, atom, cavity, drive.tau, bounds)
 
 
 def fluorescence_reference(collection_fraction: float) -> float:

@@ -228,7 +228,11 @@ def _poisson_times(times, rate, rng: np.random.Generator) -> np.ndarray:
     return t
 
 
-def _check_step(atom, cavity, guide, sim):
+def _check_step(atom, guide, sim) -> float:
+    """Raise StepTooLarge if dt undersamples the trap or the standing wave.
+
+    Returns the characteristic speed, the mean drift plus 4 thermal sigmas.
+    """
     v_char = guide.mean_velocity + 4.0 * math.sqrt(K_B * guide.temperature / atom.mass)
     bound = min(0.1 / guide.trap_omega, atom.wavelength / (8.0 * max(v_char, 1e-12)))
     if sim.dt > bound:
@@ -236,13 +240,7 @@ def _check_step(atom, cavity, guide, sim):
             f"dt={sim.dt:.3g} s undersamples the trap or the standing wave "
             f"(bound {bound:.3g} s)"
         )
-    if v_char > 0 and (0.5 * atom.wavelength / v_char) < 10.0 / cavity.kappa:
-        warnings.warn(
-            "atom crosses a standing-wave period in under 10 cavity "
-            "lifetimes; the slaved-field approximation is strained",
-            QuasiStaticViolated,
-            stacklevel=3,
-        )
+    return v_char
 
 
 def _rho11(g2, n, d0):
@@ -270,22 +268,6 @@ def _record(times, position, n_t, rho11_t, gam, cavity, sim, rng) -> TrajectoryR
     )
 
 
-def simulate_trajectory(
-    atom: AtomParams,
-    cavity: CavityParams,
-    drive: DriveParams,
-    guide: GuideParams,
-    sim: SimConfig,
-    rng: np.random.Generator,
-) -> TrajectoryRecord:
-    """One atom transit with quasi-static field and Poisson detector clicks.
-
-    This is simulate_block for a block of one atom, with or without
-    recoil, so a record is the same alone and inside any block.
-    """
-    return simulate_block(atom, cavity, drive, guide, sim, [rng])[0]
-
-
 def _kick_count(u: float, lam: float, p0: float) -> int:
     """Poisson(lam) count by inversion of the uniform u; p0 = exp(-lam)."""
     count, p, cdf = 0, p0, p0
@@ -306,9 +288,13 @@ def simulate_block(
 ) -> list[TrajectoryRecord]:
     """Transits of a block of atoms, one generator each, as arrays over the block.
 
-    Without recoil the kinematics are closed-form: the whole block's
-    positions are one (atoms, steps, 3) array, and its photon numbers are
-    one cold stationary_scan over the (atoms, steps) couplings.  With
+    The cavity field is quasi-static and detector clicks are Poisson; a
+    block of one atom is a single transit.  Raises StepTooLarge where
+    sim.dt is too coarse; run_ensemble, not each block, warns where the
+    field is not slaved.  Without recoil the kinematics are closed-form:
+    the whole block's positions are one (atoms, steps, 3) array, and its
+    photon numbers are one cold stationary_scan over the (atoms, steps)
+    couplings.  With
     recoil, each step applies hbar*k kicks in isotropic directions at the
     spontaneous rate 2*Gamma*rho11 plus a Gaussian axial momentum-diffusion
     kick, so the motion is integrated step by step (exact harmonic
@@ -323,7 +309,7 @@ def simulate_block(
     as it happens; its detector clicks after the transit.  Record i
     therefore depends only on rngs[i], not on the block it is solved in.
     """
-    _check_step(atom, cavity, guide, sim)
+    _check_step(atom, guide, sim)
     n_atoms = len(rngs)
     n_steps = int(round(sim.duration / sim.dt))
     times = np.arange(n_steps + 1) * sim.dt
@@ -551,8 +537,18 @@ def run_ensemble(
     atoms run in process, one simulate_block call per contiguous block of
     at most BLOCK_ATOMS atoms with recoil and BALLISTIC_ATOMS without (see
     _blocks).  record_sink, if given, receives (index, TrajectoryRecord)
-    in index order.
+    in index order.  StepTooLarge is raised before any atom runs, and
+    QuasiStaticViolated, where an atom crosses a standing-wave period in
+    under 10 cavity lifetimes, is warned once per call.
     """
+    v_char = _check_step(atom, guide, sim)
+    if v_char > 0 and (0.5 * atom.wavelength / v_char) < 10.0 / cavity.kappa:
+        warnings.warn(
+            "atom crosses a standing-wave period in under 10 cavity "
+            "lifetimes; the slaved-field approximation is strained",
+            QuasiStaticViolated,
+            stacklevel=2,
+        )
     # the dark stream first: its large arrays are freed before any block is held
     rate, ci, conv = dark_rates(cavity, drive, sim)
     detections = []

@@ -32,7 +32,6 @@ from cavdet import (
     mode_waist,
     resonant_gaps,
     run_ensemble,
-    simulate_trajectory,
     snr_low_saturation,
     snr_resonant,
     snr_strong_limit,

@@ -1,5 +1,7 @@
 """Config parsing, digests, and the command-line entry points."""
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +12,10 @@ from pathlib import Path
 import pytest
 
 from cavdet import (
+    AtomParams,
     ConfigError,
     DriveParams,
+    FiberCavityDesign,
     KHZ,
     MHZ,
     UM,
@@ -19,6 +23,8 @@ from cavdet import (
     SaturationWarning,
     SmallDetuningWarning,
     config_digest,
+    derive,
+    design_to_cavity,
     dispersive_saturation_pump,
     homodyne_report,
     load_config,
@@ -26,11 +32,12 @@ from cavdet import (
     run_ensemble,
     saturation_pump,
     snr_resonant,
+    solve_stationary,
     spatial_averages,
 )
 from cavdet import cli
 from cavdet.cli import ScanSpec, _fmt, run
-from cavdet.config import DEFAULTS
+from cavdet.config import DEFAULTS, RANGES
 from cavdet.errors import NoPhysicalRoot, StepTooLarge
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -148,14 +155,11 @@ def test_repo_configs_parse():
 
 
 def test_scan_spec_grids():
-    log = ScanSpec("j_in", 1.0, 100.0, 5)
-    g = log.grid()
+    g = ScanSpec(1.0, 100.0, 5).grid()
     assert g.shape == (5,)
     assert g[0] == pytest.approx(1.0, rel=1e-12)
     assert g[-1] == pytest.approx(100.0, rel=1e-12)
     assert g[2] == pytest.approx(10.0, rel=1e-12)
-    lin = ScanSpec("j_in", 0.0, 4.0, 5, log=False)
-    assert lin.grid().tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
 @pytest.mark.parametrize(
@@ -167,12 +171,12 @@ def test_scan_spec_grids():
         dict(lo=1.0, hi=float("inf"), points=5),
         dict(lo=float("nan"), hi=10.0, points=5),
         dict(lo=1.0, hi=float("nan"), points=5),
-        dict(lo=float("-inf"), hi=1.0, points=5, log=False),
+        dict(lo=float("-inf"), hi=1.0, points=5),
     ],
 )
 def test_scan_spec_validation(kwargs):
     with pytest.raises(ConfigError):
-        ScanSpec("j_in", **kwargs)
+        ScanSpec(**kwargs)
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -410,7 +414,7 @@ def test_cli_pump_scans_match_their_reports(tmp_path, capsys, command, extra, bo
         else:
             center, half = bounds(cfg)
             lo, hi = center / half, center * half
-        grid = ScanSpec("j_in", lo, hi, 5).grid()
+        grid = ScanSpec(lo, hi, 5).grid()
         reps = [report(cfg.atom, cfg.cavity, DriveParams(j_in=j, tau=cfg.drive.tau)) for j in grid]
     lines = out.read_text().splitlines()
     assert lines[:3] == [
@@ -708,3 +712,122 @@ def test_cli_design_cavity_rejects_non_finite(tmp_path, capsys, flag, value):
     assert run(argv + [f"{key}={val}" for key, val in args.items()]) == 2
     assert "must be finite" in capsys.readouterr().err
     assert not (tmp_path / "design.json").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, half_gap_um, mode_index, extra_loss_mhz",
+    [
+        (["--mode-index", "13"], 0.0, 13, 0.0),
+        (["--gap-um", "5.1"], 2.55, None, 0.0),
+        (["--mode-index", "13", "--extra-loss-mhz", "2"], 0.0, 13, 2.0),
+    ],
+)
+def test_cli_design_cavity_section_is_the_bridge(
+    tmp_path, extra, half_gap_um, mode_index, extra_loss_mhz
+):
+    out = tmp_path / "design.json"
+    argv = ["design-cavity", "--core-um", "5", "--length-mm", "10.4", "--out", str(out)]
+    assert run(argv + extra) == 0
+    design = FiberCavityDesign(
+        fiber_length=10.4 * 1e-3, half_gap=half_gap_um * UM, core_radius=2.5 * UM
+    )
+    derived = derive(design, AtomParams(gamma=3.0 * MHZ), mode_index=mode_index)
+    cavity = design_to_cavity(derived, design.fiber_length, extra_loss_mhz * MHZ)
+    assert json.loads(out.read_text())["cavity"] == {
+        "g_mhz": cavity.g_max / MHZ,
+        "kappa_t_mhz": cavity.kappa_t / MHZ,
+        "kappa_loss_mhz": cavity.kappa_loss / MHZ,
+        "delta_c_mhz": cavity.delta_c / MHZ,
+        "waist_um": cavity.waist / UM,
+        "length_mm": cavity.length / 1e-3,
+    }
+
+
+# finite inputs that overflowed (exit 1), failed as NoPhysicalRoot (exit 3) or wrote
+# Infinity into design.json: (arguments, config overrides or None, the input named)
+_OUT_OF_RANGE = [
+    *(
+        (["steady"], {section: {key: value}}, f"{section}.{key}")
+        for section, key, value in [
+            ("cavity", "g_mhz", 1e300),
+            ("atom", "gamma_mhz", 1e-300),
+            ("atom", "gamma_mhz", 1e300),
+            ("cavity", "kappa_t_mhz", 1e300),
+            ("atom", "delta_a_over_gamma", 1e300),
+            ("cavity", "delta_c_mhz", 1e300),
+            ("drive", "j_in_per_us", 1e300),
+        ]
+    ),
+    (["steady", "--g-frac", "1e160"], {}, "--g-frac"),
+    (["simulate", "--atoms", "2"], {"cavity": {"g_mhz": 1e300}}, "cavity.g_mhz"),
+    (["scan-pump", "--jmin-per-us", "1", "--jmax-per-us", "1e300"], {}, "--jmax-per-us"),
+    (["scan-pump", "--decades", "600"], {}, "--decades"),
+    (["design-cavity", "--core-um", "1e300", "--length-mm", "10.4"], None, "core_radius"),
+    (["design-cavity", "--core-um", "5", "--length-mm", "1e-300"], None, "fiber_length"),
+    (["design-cavity", "--core-um", "5", "--length-mm", "10.4", "--lambda-nm", "1e-300"], None,
+     "wavelength0"),  # a math domain error (exit 1)
+    (["design-cavity", "--core-um", "5", "--length-mm", "10.4", "--gamma-mhz", "1e300"], None,
+     "gamma"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, overrides, name",
+    _OUT_OF_RANGE,
+    ids=[
+        " ".join(argv) + "".join(f" {s}.{k}={v:g}" for s, d in (ov or {}).items() for k, v in d.items())
+        for argv, ov, _ in _OUT_OF_RANGE
+    ],
+)
+def test_cli_out_of_range_input_is_exit_2(tmp_path, capsys, argv, overrides, name):
+    out = tmp_path / "out"
+    if overrides is None:
+        argv = argv + ["--mode-index", "13"]
+    else:
+        raw = json.loads(Path(TRANSIT).read_text())
+        for section, values in overrides.items():
+            raw[section].update(values)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        argv = argv + ["--config", str(config)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and name in err
+    assert not out.exists()
+
+
+def test_solver_is_finite_at_the_corners_of_its_ranges():
+    # the ranges are set so that every power the solver forms stays finite
+    rate_lo, rate_hi = RANGES["cavity.g_mhz"]
+    pump_lo, pump_hi = RANGES["drive.j_in_per_us"]
+    for gamma, g, kt, kl, da, dc, j in itertools.product(
+        (rate_lo, rate_hi),
+        (rate_lo, rate_hi),
+        (rate_lo, rate_hi),
+        (0.0, rate_lo, rate_hi),
+        (0.0, rate_hi, -rate_hi),
+        (0.0, rate_hi, -rate_hi),
+        (pump_lo, pump_hi),
+    ):
+        cfg = parse_config(
+            {
+                "atom": {"gamma_mhz": gamma, "delta_a_over_gamma": da},
+                "cavity": {"g_mhz": g, "kappa_t_mhz": kt, "kappa_loss_mhz": kl, "delta_c_mhz": dc},
+                "drive": {"j_in_per_us": j},
+            }
+        )
+        state = solve_stationary(cfg.atom, cfg.cavity, cfg.drive)
+        assert all(map(math.isfinite, (state.n_photons, state.rho11, abs(state.alpha))))
+
+
+@pytest.mark.parametrize("name", sorted(RANGES))
+def test_config_range_ends_are_kept_and_beyond_them_rejected(name):
+    section, key = name.split(".")
+    lo, hi = RANGES[name]
+    for value in (lo, hi):
+        assert parse_config({section: {key: value}}).resolved[section][key] == value
+    for value in (0.5 * lo, 2.0 * hi):
+        with pytest.raises(ConfigError, match=name):
+            parse_config({section: {key: value}})

@@ -35,7 +35,7 @@ _PARAM_BASES = {
     DriveParams: {"j_in": 2e6, "tau": 10e-6},
     GuideParams: {},
     SimConfig: {},
-    FiberCavityDesign: {"fiber_length": 10.4e-3, "n_eff": 1.5},
+    FiberCavityDesign: {"fiber_length": 10.4e-3},
 }
 
 

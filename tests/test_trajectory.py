@@ -1,5 +1,6 @@
 """Transit Monte Carlo: kinematics, click statistics, detection, determinism."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,6 @@ from cavdet import (
     run_ensemble,
     sample_initial,
     simulate_block,
-    simulate_trajectory,
     solve_stationary,
     stationary_photon_numbers,
     trajectory_rng,
@@ -218,9 +218,7 @@ def test_ballistic_trajectory_closed_form(atom, transit_cavity, transit_drive):
     # velocity, transverse coordinates pinned to the axis
     guide = GuideParams(temperature=0.0)
     sim = SimConfig(seed=0, include_recoil=False, duration=40 * US)
-    rec = simulate_trajectory(
-        atom, transit_cavity, transit_drive, guide, sim, trajectory_rng(0, 0)
-    )
+    rec = simulate_block(atom, transit_cavity, transit_drive, guide, sim, [trajectory_rng(0, 0)])[0]
     expected_y = -3.0 * transit_cavity.waist + guide.mean_velocity * rec.times
     assert np.array_equal(rec.position[:, 1], expected_y)
     assert np.all(rec.position[:, 0] == 0.0)
@@ -240,9 +238,9 @@ def test_ballistic_trajectory_closed_form(atom, transit_cavity, transit_drive):
 
 def test_transit_produces_detectable_dip(atom, transit_cavity, transit_drive, guide):
     sim = SimConfig(seed=0, duration=100 * US)
-    rec = simulate_trajectory(
-        atom, transit_cavity, transit_drive, guide, sim, trajectory_rng(0, 0)
-    )
+    rec = simulate_block(
+        atom, transit_cavity, transit_drive, guide, sim, [trajectory_rng(0, 0)]
+    )[0]
     assert rec.windowed_counts.min() < sim.threshold
     assert rec.n_photons.min() < empty_cavity_state(transit_cavity, transit_drive).n_photons
     events = detect_events(rec.window_times, rec.windowed_counts, sim.threshold, sim.min_dip)
@@ -252,14 +250,39 @@ def test_transit_produces_detectable_dip(atom, transit_cavity, transit_drive, gu
 def test_step_bound_enforced(atom, transit_cavity, transit_drive, guide):
     sim = SimConfig(dt=200e-9, seed=0)
     with pytest.raises(StepTooLarge):
-        simulate_trajectory(atom, transit_cavity, transit_drive, guide, sim, trajectory_rng(0, 0))
+        simulate_block(atom, transit_cavity, transit_drive, guide, sim, [trajectory_rng(0, 0)])
+    with pytest.raises(StepTooLarge):
+        run_ensemble(atom, transit_cavity, transit_drive, guide, sim)
 
 
 def test_fast_atom_strains_slaved_field(atom, transit_cavity, transit_drive):
     fast = GuideParams(mean_velocity=50.0)
-    sim = SimConfig(dt=1e-9, window=8 * US, duration=8 * US, include_recoil=False, seed=0)
+    sim = SimConfig(
+        dt=1e-9, window=8 * US, duration=8 * US, include_recoil=False, seed=0, n_atoms=1,
+        dark_windows=10,
+    )
     with pytest.warns(QuasiStaticViolated):
-        simulate_trajectory(atom, transit_cavity, transit_drive, fast, sim, trajectory_rng(0, 0))
+        run_ensemble(atom, transit_cavity, transit_drive, fast, sim)
+
+
+@pytest.mark.parametrize("include_recoil", [False, True])
+def test_quasi_static_warning_fires_once_per_ensemble(
+    monkeypatch, atom, transit_cavity, transit_drive, include_recoil
+):
+    # 8 atoms in blocks of 4 on either path; the warning is about the guide
+    # and the cavity, not about a block, so its count must not follow the layout
+    monkeypatch.setattr(trajectory_sim, "BALLISTIC_ATOMS", 4)
+    monkeypatch.setattr(trajectory_sim, "BLOCK_ATOMS", 4)
+    fast = GuideParams(mean_velocity=7.0)
+    sim = SimConfig(
+        dt=0.01 * US, duration=10 * US, include_recoil=include_recoil, n_atoms=8,
+        dark_windows=10,
+    )
+    assert len(trajectory_sim._blocks(sim.n_atoms, 4)) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_ensemble(atom, transit_cavity, transit_drive, fast, sim)
+    assert [w.category for w in caught] == [QuasiStaticViolated]
 
 
 # --- determinism -------------------------------------------------------------------
@@ -277,12 +300,8 @@ def test_trajectory_rng_streams():
 
 def test_same_seed_reproduces_trajectory(atom, transit_cavity, transit_drive, guide):
     sim = SimConfig(seed=4, duration=24 * US)
-    r1 = simulate_trajectory(
-        atom, transit_cavity, transit_drive, guide, sim, trajectory_rng(4, 2)
-    )
-    r2 = simulate_trajectory(
-        atom, transit_cavity, transit_drive, guide, sim, trajectory_rng(4, 2)
-    )
+    r1 = simulate_block(atom, transit_cavity, transit_drive, guide, sim, [trajectory_rng(4, 2)])[0]
+    r2 = simulate_block(atom, transit_cavity, transit_drive, guide, sim, [trajectory_rng(4, 2)])[0]
     assert np.array_equal(r1.position, r2.position)
     assert np.array_equal(r1.click_times, r2.click_times)
     assert r1.m_scattered == r2.m_scattered
@@ -353,9 +372,9 @@ def test_trajectory_does_not_depend_on_its_block(
         assert all(_same_record(sink[i], sinks[0][i]) for i in range(80))
     assert reports[0].detections
     for i in (0, 1, 39, 40, 79):
-        alone = simulate_trajectory(
-            atom, transit_cavity, transit_drive, guide, sim, trajectory_rng(3, i)
-        )
+        alone = simulate_block(
+            atom, transit_cavity, transit_drive, guide, sim, [trajectory_rng(3, i)]
+        )[0]
         assert _same_record(alone, sinks[0][i])
 
 
@@ -394,9 +413,9 @@ def test_ballistic_record_does_not_depend_on_its_block(
         direct += simulate_block(atom, transit_cavity, transit_drive, guide, sim, rngs)
     assert len(direct) == 40
     for i in range(40):
-        alone = simulate_trajectory(
-            atom, transit_cavity, transit_drive, guide, sim, trajectory_rng(3, i)
-        )
+        alone = simulate_block(
+            atom, transit_cavity, transit_drive, guide, sim, [trajectory_rng(3, i)]
+        )[0]
         assert _same_record(alone, sinks[0][i])
         assert _same_record(direct[i], sinks[0][i])
 
@@ -458,7 +477,7 @@ def test_recoil_solve_guard_falls_back_where_bistable(monkeypatch, atom, guide):
 
     monkeypatch.setattr(steady_state, "_roots_scaled", spy)
     sim = SimConfig(seed=0, duration=40 * US)
-    rec = simulate_trajectory(atom, STRONG_CAVITY, STRONG_DRIVE, guide, sim, trajectory_rng(0, 2))
+    rec = simulate_block(atom, STRONG_CAVITY, STRONG_DRIVE, guide, sim, [trajectory_rng(0, 2)])[0]
     monkeypatch.undo()
     gam = atom.gamma
     scaled = (
@@ -485,7 +504,7 @@ def test_recoil_fallback_that_is_not_a_root_raises(monkeypatch, atom, guide):
     sim = SimConfig(seed=0, duration=40 * US)
     # raised by the scalar solver's residual check of its bracketed roots
     with pytest.raises(NoPhysicalRoot, match="not a stationary root"):
-        simulate_trajectory(atom, STRONG_CAVITY, STRONG_DRIVE, guide, sim, trajectory_rng(0, 2))
+        simulate_block(atom, STRONG_CAVITY, STRONG_DRIVE, guide, sim, [trajectory_rng(0, 2)])[0]
 
 
 # --- ensemble detection -----------------------------------------------------------

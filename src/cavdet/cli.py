@@ -32,28 +32,6 @@ from .steady_state import empty_cavity_state, solve_stationary
 from .trajectory_sim import run_ensemble
 
 
-@dataclass(frozen=True)
-class ScanSpec:
-    """One log-spaced scan axis: bounds and point count."""
-
-    lo: float
-    hi: float
-    points: int
-
-    def __post_init__(self):
-        if self.points < 2:
-            raise ConfigError("scan needs at least 2 points")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ConfigError(f"scan bounds must be finite, got lo={self.lo}, hi={self.hi}")
-        if self.hi <= self.lo:
-            raise ConfigError("scan bounds must satisfy lo < hi")
-        if self.lo <= 0:
-            raise ConfigError("log scan bounds must be positive")
-
-    def grid(self) -> np.ndarray:
-        return np.logspace(math.log10(self.lo), math.log10(self.hi), self.points)
-
-
 _FLOAT = "%.12g"  # every float in a CSV
 
 
@@ -80,26 +58,49 @@ def _write_json(path, payload: dict) -> None:
     Path(path).write_text(text + "\n", newline="\n")
 
 
-def _pump_grid(args, default_center: float) -> ScanSpec:
-    """The pump grid of a scan, in 1/s; both ends must lie in PUMP_RANGE_PER_US."""
+def _pump_grid(args, center: Callable[[], float]) -> np.ndarray:
+    """The log-spaced pump grid of a scan, in 1/s.
+
+    Its ends are --jmin-per-us and --jmax-per-us, or else --decades around
+    center(), which is called only then.  Both ends must lie in
+    PUMP_RANGE_PER_US.
+    """
     if args.jmin_per_us is not None and args.jmax_per_us is not None:
         lo, hi = args.jmin_per_us * 1e6, args.jmax_per_us * 1e6
     elif args.jmin_per_us is None and args.jmax_per_us is None:
         try:
             half = 10.0 ** (args.decades / 2.0)
-        except OverflowError:  # ScanSpec rejects the infinite bound
+        except OverflowError:  # rejected below as an infinite bound
             half = math.inf
-        lo, hi = default_center / half, default_center * half
+        c = center()
+        lo, hi = c / half, c * half
     else:
         raise ConfigError("give both --jmin-per-us and --jmax-per-us, or neither")
-    spec = ScanSpec(lo=lo, hi=hi, points=args.points)
+    if args.points < 2:
+        raise ConfigError("scan needs at least 2 points")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"scan bounds must be finite, got lo={lo}, hi={hi}")
+    if hi <= lo:
+        raise ConfigError("scan bounds must satisfy lo < hi")
+    if lo <= 0:
+        raise ConfigError("log scan bounds must be positive")
     if not (in_range(lo / 1e6, PUMP_RANGE_PER_US) and in_range(hi / 1e6, PUMP_RANGE_PER_US)):
         lo_us, hi_us = PUMP_RANGE_PER_US
         raise ConfigError(
             f"pump grid {lo / 1e6:g} to {hi / 1e6:g}/us (--jmin-per-us, --jmax-per-us or "
             f"--decades) must lie between {lo_us:g} and {hi_us:g}/us"
         )
-    return spec
+    return np.logspace(math.log10(lo), math.log10(hi), args.points)
+
+
+def _saturation_center(pump, cfg) -> float:
+    """pump(atom, cavity), the centre of a default grid; at g = 0 no pump saturates the atom."""
+    if cfg.cavity.g_max == 0:
+        raise ConfigError(
+            "cavity.g_mhz is 0, so no saturation pump centers the default grid; "
+            "give --jmin-per-us and --jmax-per-us"
+        )
+    return pump(cfg.atom, cfg.cavity)
 
 
 def _cmd_steady(args) -> int:
@@ -163,7 +164,7 @@ _PUMP_SCANS = {
         help="resonant SNR and budget vs pump rate",
         points=200,
         decades=None,
-        center=lambda cfg: saturation_pump(cfg.atom, cfg.cavity),
+        center=lambda cfg: _saturation_center(saturation_pump, cfg),
         report=lambda cfg, drive: snr_resonant(cfg.atom, cfg.cavity, drive),
         columns=(
             ("n_out_empty", "N_out_empty [photons]"),
@@ -179,7 +180,7 @@ _PUMP_SCANS = {
         help="dispersive SNR and budget vs pump rate",
         points=200,
         decades=None,
-        center=lambda cfg: dispersive_saturation_pump(cfg.atom, cfg.cavity),
+        center=lambda cfg: _saturation_center(dispersive_saturation_pump, cfg),
         report=lambda cfg, drive: homodyne_report(cfg.atom, cfg.cavity, drive),
         columns=(
             ("phase_shift", "phase_shift [rad]"),
@@ -223,13 +224,13 @@ def _warn_once_per_class(caught, starts) -> None:
 def _cmd_pump_scan(args) -> int:
     scan = _PUMP_SCANS[args.command]
     cfg = load_config(args.config)
-    spec = _pump_grid(args, scan.center(cfg))
+    grid = _pump_grid(args, lambda: scan.center(cfg))
     fields = [name for name, _ in scan.columns]
     rows, starts = [], []  # starts[k]: how many warnings were recorded before grid point k
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for j in spec.grid():
+            for j in grid:
                 starts.append(len(caught))
                 rep = scan.report(cfg, DriveParams(j_in=j, tau=cfg.drive.tau))
                 rows.append((j / 1e6, *(getattr(rep, name) for name in fields)))

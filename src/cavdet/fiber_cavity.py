@@ -52,7 +52,10 @@ class FiberCavityDesign:
             raise ConfigError("half_gap must be non-negative")
         if self.fiber_length <= 0 or self.core_radius <= 0 or self.wavelength0 <= 0:
             raise ConfigError("lengths must be positive")
-        v = v_number(self)
+        try:
+            v = v_number(self)
+        except OverflowError as exc:  # n_core**2 past the float range
+            raise ConfigError(f"{self} is outside the fiber-gap model's float range") from exc
         if v > 3.0:
             warnings.warn(
                 f"V number {v:.2f} > 3; the fiber is not single-mode and the "

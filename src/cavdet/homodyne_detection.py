@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotDispersive, SmallDetuningWarning
-from .optimize import KappaTOptimum, best_pump, max_over_kappa_t
+from .optimize import KappaTOptimum, PumpOptimum, best_pump, max_over_kappa_t
 from .params import AtomParams, CavityParams, DriveParams, cooperativity
 from .resonant_detection import _detected_photons, output_photons
 from .steady_state import _atom_response, empty_cavity_state, solve_stationary
@@ -144,18 +144,16 @@ def _snr_hom_from_n(atom: AtomParams, cavity: CavityParams, j, n, tau: float):
     return _phase_and_snr(light_shift, cavity.kappa, _detected_photons(n, cavity, tau))[1]
 
 
-def max_snr_hom_over_pump(
-    atom: AtomParams, cavity: CavityParams, tau: float, n_decades: float = 4.0
-) -> tuple[float, float]:
-    """Maximize S_hom over the pump rate; returns (j_in, snr).
+def max_snr_hom_over_pump(atom: AtomParams, cavity: CavityParams, tau: float) -> PumpOptimum:
+    """Maximize S_hom over the pump rate.
 
-    The pump range is n_decades wide and centered on the dispersive
-    saturation pump (see optimize.best_pump, shared with the resonant
-    scheme); no report is built.  An optimum returned at the top of the
-    range is bounded by n_decades and not flagged.
+    The pump range is centered on the dispersive saturation pump (see
+    optimize.best_pump, shared with the resonant scheme); S is
+    homodyne_report(...).snr at j_in to the last bit.  An optimum returned
+    at the top of the range is the range end, and it is not flagged.
     """
     check_dispersive(atom, cavity)
-    return best_pump(_snr_hom_from_n, dispersive_saturation_pump, atom, cavity, tau, n_decades)
+    return best_pump(_snr_hom_from_n, dispersive_saturation_pump, atom, cavity, tau)
 
 
 def optimal_kappa_t_homodyne(

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import SaturationWarning
 from .params import HBAR, AtomParams, CavityParams, DriveParams, cooperativity
 from .resonant_detection import check_resonant
-from .steady_state import solve_stationary
+from .steady_state import stationary_photon_numbers
 
 SATURATION_MAX = 0.1  # validity edge of the low-saturation forms
 
@@ -48,8 +48,8 @@ def _warn_if_saturated(atom, cavity, drive):
     n_max = drive.j_in * cavity.kappa_t / cavity.kappa**2
     if 2.0 * cavity.g_max**2 * n_max / atom.gamma**2 <= SATURATION_MAX:
         return
-    state = solve_stationary(atom, cavity, drive)
-    sat = 2.0 * cavity.g_max**2 * state.n_photons / atom.gamma**2
+    n = stationary_photon_numbers(atom, cavity, drive)[0]  # the lower branch
+    sat = 2.0 * cavity.g_max**2 * n / atom.gamma**2
     if sat > SATURATION_MAX:
         warnings.warn(
             f"antinode saturation {sat:.3g} exceeds {SATURATION_MAX}; the "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,9 +24,10 @@ _GRID_RTOL = 1e-6  # grid points this close to a grid objective's maximum are re
 _POLISH_RTOL = 1e-10  # golden_max's rel_tol for the polish, in log x
 _MAX_ITER = 200  # golden_max's step limit
 _KAPPA_T_RTOL = 1e-4  # golden_max's rel_tol for the kappa_t search, in log kappa_t
+_PUMP_DECADES = 4.0  # width of best_pump's range, centered on the saturation pump
 
 
-def golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6):
+def golden_max(f, lo: float, hi: float, rel_tol: float):
     """Maximum of f on [lo, hi] by Brent's method; returns (x, f(x)).
 
     Each step goes to the vertex of the parabola through the best three
@@ -96,7 +98,7 @@ def golden_max(f, lo: float, hi: float, rel_tol: float = 1e-6):
     return x, fx
 
 
-def max_on_log_grid(f, lo: float, hi: float, per_decade: int = 61, f_grid=None):
+def max_on_log_grid(f, lo: float, hi: float, per_decade: int, f_grid=None):
     """Grid-then-polish maximization of f over a log-spaced range.
 
     Scans a grid of per_decade points per decade, then polishes with
@@ -148,34 +150,38 @@ def max_on_log_grid(f, lo: float, hi: float, per_decade: int = 61, f_grid=None):
     return float(grid[i]), float(f_i)
 
 
-def best_pump(
-    snr, center, atom, cavity, tau: float, n_decades: float = 4.0, per_decade: int = 61
-) -> tuple[float, float]:
-    """(j_in, S) at the best pump rate of one detection scheme.
+class PumpOptimum(NamedTuple):
+    """The best pump rate j_in (1/s) of one detection scheme and its S there."""
+
+    j_in: float
+    snr: float
+
+
+def best_pump(snr, center, atom, cavity, tau: float, per_decade: int = 61) -> PumpOptimum:
+    """The best pump rate of one detection scheme and its S.
 
     snr(atom, cavity, j, n, tau) is the scheme's S at pump rate j and
     lower-branch photon number n at g_max, for floats and for arrays;
-    center(atom, cavity) is its saturation pump.  The log grid, n_decades
-    wide and centered on that pump, is solved in one batched call
-    (_stationary_pump_scan), and max_on_log_grid polishes its best point on
-    the scalar lower root (_pump_root), so a float S is the scheme's report
-    SNR to the last bit.  An optimum at an end of the range is bounded by
-    n_decades and not flagged.  A non-finite or non-positive n_decades, or a
-    range that overflows, raises NoMaximumInBounds.
+    center(atom, cavity) is its saturation pump.  The log grid,
+    _PUMP_DECADES wide and centered on that pump, is solved in one batched
+    call (_stationary_pump_scan), and max_on_log_grid polishes its best
+    point on the scalar lower root (_pump_root), so S is the scheme's
+    report SNR at j_in to the last bit.  An optimum at an end of the range
+    is bounded by _PUMP_DECADES and not flagged.  Without coupling
+    (g_max = 0) S is 0 at every pump rate, which raises NoMaximumInBounds.
     """
-    if not 0.0 < n_decades < math.inf:
-        raise NoMaximumInBounds(f"n_decades must be positive and finite, got {n_decades}")
+    if cavity.g_max == 0:
+        raise NoMaximumInBounds("S is 0 at every pump rate when g_max = 0")
     j_sat = center(atom, cavity)
-    try:
-        lo, hi = j_sat * 10.0 ** (-0.5 * n_decades), j_sat * 10.0 ** (0.5 * n_decades)
-    except OverflowError as exc:
-        raise NoMaximumInBounds(f"a pump range of {n_decades} decades overflows") from exc
-    return max_on_log_grid(
-        lambda j: float(snr(atom, cavity, j, _pump_root(atom, cavity, j), tau)),
-        lo,
-        hi,
-        per_decade=per_decade,
-        f_grid=lambda j: snr(atom, cavity, j, _stationary_pump_scan(atom, cavity, j), tau),
+    lo, hi = j_sat * 10.0 ** (-0.5 * _PUMP_DECADES), j_sat * 10.0 ** (0.5 * _PUMP_DECADES)
+    return PumpOptimum(
+        *max_on_log_grid(
+            lambda j: float(snr(atom, cavity, j, _pump_root(atom, cavity, j), tau)),
+            lo,
+            hi,
+            per_decade=per_decade,
+            f_grid=lambda j: snr(atom, cavity, j, _stationary_pump_scan(atom, cavity, j), tau),
+        )
     )
 
 
@@ -209,7 +215,7 @@ def max_over_kappa_t(snr, center, atom, cavity, tau: float, bounds=None) -> Kapp
 
     def objective(log_kt):
         trial = replace(cavity, kappa_t=math.exp(log_kt))
-        return best_pump(snr, center, atom, trial, tau, per_decade=31)[1]
+        return best_pump(snr, center, atom, trial, tau, per_decade=31).snr
 
     log_kt, _ = golden_max(objective, math.log(lo), math.log(hi), rel_tol=_KAPPA_T_RTOL)
     kt = math.exp(log_kt)

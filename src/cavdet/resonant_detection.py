@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotResonant
-from .optimize import KappaTOptimum, best_pump, max_over_kappa_t
+from .optimize import KappaTOptimum, PumpOptimum, best_pump, max_over_kappa_t
 from .params import AtomParams, CavityParams, DriveParams, cooperativity
 from .steady_state import StationaryState, empty_cavity_state, solve_stationary
 
@@ -49,13 +49,6 @@ class AsymptoticSnr:
     value: float
     regime: str
     blended: bool
-
-
-@dataclass(frozen=True)
-class PumpOptimum:
-    j_in: float
-    snr: float
-    report: ResonantReport
 
 
 def classify_coupling(c: float) -> tuple[str, bool]:
@@ -190,22 +183,17 @@ def _snr_from_n(atom: AtomParams, cavity: CavityParams, j, n, tau: float):
     return _intensity_snr(n_out_empty, _detected_photons(n, cavity, tau))
 
 
-def max_snr_over_pump(
-    atom: AtomParams, cavity: CavityParams, tau: float, n_decades: float = 4.0
-) -> PumpOptimum:
+def max_snr_over_pump(atom: AtomParams, cavity: CavityParams, tau: float) -> PumpOptimum:
     """Maximize the resonant SNR over the pump rate.
 
-    The pump range is n_decades wide and centered on the saturation pump,
-    where the optimum sits at weak coupling (see optimize.best_pump, shared
-    with the homodyne scheme).  Only the returned optimum's report is
-    built.  At strong coupling the SNR can still rise at the top of the
-    range: the optimum returned there is the range end, bounded by n_decades
-    and not flagged.
+    The pump range is centered on the saturation pump, where the optimum
+    sits at weak coupling (see optimize.best_pump, shared with the
+    homodyne scheme); S is snr_resonant(...).snr at j_in to the last bit.
+    At strong coupling the SNR can still rise at the top of the range: the
+    optimum returned there is the range end, and it is not flagged.
     """
     check_resonant(atom, cavity)
-    j_opt, _ = best_pump(_snr_from_n, saturation_pump, atom, cavity, tau, n_decades)
-    report = intensity_report(atom, cavity, DriveParams(j_in=j_opt, tau=tau))
-    return PumpOptimum(j_in=j_opt, snr=report.snr, report=report)
+    return best_pump(_snr_from_n, saturation_pump, atom, cavity, tau)
 
 
 def optimal_kappa_t(

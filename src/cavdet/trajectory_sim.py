@@ -192,7 +192,7 @@ def windowed_counts(click_times, window: float, stride: float, duration: float):
     return starts, counts
 
 
-def detect_events(window_times, counts, threshold: int, min_dip: float = 0.0) -> np.ndarray:
+def detect_events(window_times, counts, threshold: int, min_dip: float) -> np.ndarray:
     """Start times of below-threshold excursions in a windowed count series.
 
     A maximal contiguous run of windows with counts < threshold is one

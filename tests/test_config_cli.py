@@ -1,4 +1,5 @@
 """Config parsing, digests, and the command-line entry points."""
+import argparse
 import itertools
 import json
 import math
@@ -9,6 +10,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cavdet import (
@@ -36,7 +38,7 @@ from cavdet import (
     spatial_averages,
 )
 from cavdet import cli
-from cavdet.cli import ScanSpec, _fmt, run
+from cavdet.cli import _fmt, _pump_grid, run
 from cavdet.config import DEFAULTS, RANGES
 from cavdet.errors import NoPhysicalRoot, StepTooLarge
 
@@ -154,12 +156,24 @@ def test_repo_configs_parse():
 # --- scan grids ----------------------------------------------------------------
 
 
+def _grid_flags(lo, hi, points, decades=4.0):
+    """The parsed grid flags of a pump scan: --jmin-per-us, --jmax-per-us, --points, --decades."""
+    return argparse.Namespace(jmin_per_us=lo, jmax_per_us=hi, points=points, decades=decades)
+
+
+def _no_center():
+    raise AssertionError("the centre of the default grid is evaluated only for it")
+
+
 def test_scan_spec_grids():
-    g = ScanSpec(1.0, 100.0, 5).grid()
+    g = _pump_grid(_grid_flags(1.0, 100.0, 5), _no_center) / 1e6
     assert g.shape == (5,)
     assert g[0] == pytest.approx(1.0, rel=1e-12)
     assert g[-1] == pytest.approx(100.0, rel=1e-12)
     assert g[2] == pytest.approx(10.0, rel=1e-12)
+    # the default grid: --decades around the centre
+    g = _pump_grid(_grid_flags(None, None, 5, decades=2.0), lambda: 3e6) / 1e6
+    np.testing.assert_allclose(g, [0.3, 0.3 * 10**0.5, 3.0, 3 * 10**0.5, 30.0], rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -176,7 +190,7 @@ def test_scan_spec_grids():
 )
 def test_scan_spec_validation(kwargs):
     with pytest.raises(ConfigError):
-        ScanSpec(**kwargs)
+        _pump_grid(_grid_flags(**kwargs), _no_center)
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -332,6 +346,7 @@ def test_cli_scan_pump_half_bounds_is_exit_2(tmp_path):
     "argv",
     [
         ["scan-pump", "--config", MAIN, "--jmin-per-us", "1", "--jmax-per-us", "inf"],
+        ["scan-pump", "--config", MAIN, "--jmin-per-us=-inf", "--jmax-per-us", "1"],
         ["scan-pump", "--config", MAIN, "--decades", "nan"],
         ["scan-pump", "--config", MAIN, "--decades", "700"],  # 10**350 overflows
         ["motion-averages", "--config", MAIN, "--jmin-per-us", "1", "--jmax-per-us", "inf"],
@@ -414,7 +429,7 @@ def test_cli_pump_scans_match_their_reports(tmp_path, capsys, command, extra, bo
         else:
             center, half = bounds(cfg)
             lo, hi = center / half, center * half
-        grid = ScanSpec(lo, hi, 5).grid()
+        grid = np.logspace(math.log10(lo), math.log10(hi), 5)
         reps = [report(cfg.atom, cfg.cavity, DriveParams(j_in=j, tau=cfg.drive.tau)) for j in grid]
     lines = out.read_text().splitlines()
     assert lines[:3] == [
@@ -768,6 +783,11 @@ _OUT_OF_RANGE = [
      "wavelength0"),  # a math domain error (exit 1)
     (["design-cavity", "--core-um", "5", "--length-mm", "10.4", "--gamma-mhz", "1e300"], None,
      "gamma"),
+    # n_core**2 overflowed in v_number while the design was built
+    (["design-cavity", "--core-um", "5", "--length-mm", "10.4", "--n-core", "1e200"], None,
+     "n_core=1e+200"),
+    (["design-cavity", "--core-um", "5", "--length-mm", "10.4", "--n-core", "1e200", "--n-clad",
+      "5e199"], None, "n_clad=5e+199"),
 ]
 
 
@@ -796,6 +816,28 @@ def test_cli_out_of_range_input_is_exit_2(tmp_path, capsys, argv, overrides, nam
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and name in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["scan-pump", "homodyne-scan"])
+def test_cli_pump_scans_without_coupling(tmp_path, capsys, command):
+    # g = 0 is in range, but its saturation pump, the default grid's centre,
+    # divided by zero (exit 1) even when the grid was given
+    raw = {"cavity": {"g_mhz": 0.0}, "atom": {"delta_a_over_gamma": 200.0}}
+    if command == "scan-pump":
+        del raw["atom"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "scan.csv"
+    argv = [command, "--config", str(config), "--out", str(out), "--points", "5"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "cavity.g_mhz" in err and "--jmin-per-us" in err
+    assert not out.exists()
+    assert run(argv + ["--jmin-per-us", "1", "--jmax-per-us", "10"]) == 0
+    rows = np.loadtxt(out, delimiter=",", comments="#", skiprows=4)
+    s = rows[:, 3 if command == "scan-pump" else 2]
+    # the empty-cavity count minus the same count, to rounding
+    assert np.all(np.abs(s) <= 1e-12)
 
 
 def test_solver_is_finite_at_the_corners_of_its_ranges():

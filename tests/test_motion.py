@@ -61,7 +61,7 @@ def test_no_warning_at_low_pump(atom, fig_cavity, monkeypatch):
     # N <= j_in*kappa_t/kappa^2 keeps the saturation below the edge here,
     # so the check needs no stationary solve
     solves = []
-    monkeypatch.setattr(motion, "solve_stationary", lambda *a: solves.append(a))
+    monkeypatch.setattr(motion, "stationary_photon_numbers", lambda *a: solves.append(a))
     drive = DriveParams(1e4, TAU)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

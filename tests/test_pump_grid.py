@@ -2,10 +2,9 @@
 
 optimize.best_pump evaluates a scheme's S from N (_snr_from_n,
 _snr_hom_from_n) on one batched grid solve (_stationary_pump_scan) and
-keeps the polish (Brent's method) on the scalar lower root (_pump_root),
-and the final report on the scalar path.  The references here are the
-scalar reports, and the same maximizers with the scalar objective mapped
-over the grid.
+keeps the polish (Brent's method) on the scalar lower root (_pump_root).
+The references here are the scalar reports, and the same maximizers with
+the scalar objective mapped over the grid.
 """
 import math
 import warnings
@@ -184,7 +183,7 @@ def mapped(monkeypatch):
     """Calls fn with max_on_log_grid mapping the scalar objective over each grid."""
     grid = optimize.max_on_log_grid
 
-    def scalar_grid(f, lo, hi, per_decade=61, f_grid=None):
+    def scalar_grid(f, lo, hi, per_decade, f_grid=None):
         return grid(f, lo, hi, per_decade=per_decade)
 
     def call(fn, *args, **kwargs):
@@ -213,21 +212,36 @@ def test_pump_maximizers_equal_the_scalar_mapped_search(mapped, request, name):
     cavity = SWEEP[name] if isinstance(name, int) else request.getfixturevalue(name)
     schemes = ((ATOM_RESONANT, max_snr_over_pump), (ATOM_DISPERSIVE, max_snr_hom_over_pump))
     for atom, maximize in schemes:
-        for kw in ({}, {"n_decades": 3.0}):
-            assert maximize(atom, cavity, TAU, **kw) == mapped(maximize, atom, cavity, TAU, **kw)
+        assert maximize(atom, cavity, TAU) == mapped(maximize, atom, cavity, TAU)
     # an asymmetric input mirror doubles both detected counts
     asym = replace(cavity, asymmetric_input=True)
     expected = mapped(max_snr_over_pump, ATOM_RESONANT, asym, TAU)
     assert max_snr_over_pump(ATOM_RESONANT, asym, TAU) == expected
 
 
-@pytest.mark.parametrize("n_decades", [math.nan, math.inf, 600.0, 700.0, 0.0, -4.0])
-def test_pump_maximizers_reject_a_bad_range(main_cavity, n_decades):
-    # nan raised ValueError; 600 and 700 decades raised OverflowError
-    with pytest.raises(NoMaximumInBounds):
-        max_snr_over_pump(ATOM_RESONANT, main_cavity, TAU, n_decades=n_decades)
-    with pytest.raises(NoMaximumInBounds):
-        max_snr_hom_over_pump(ATOM_DISPERSIVE, main_cavity, TAU, n_decades=n_decades)
+def test_pump_maximizers_return_one_pump_optimum(main_cavity):
+    # both schemes return optimize.PumpOptimum: fields, indexing and unpacking
+    schemes = ((ATOM_RESONANT, max_snr_over_pump), (ATOM_DISPERSIVE, max_snr_hom_over_pump))
+    for atom, maximize in schemes:
+        opt = maximize(atom, main_cavity, TAU)
+        assert type(opt) is optimize.PumpOptimum
+        j_in, snr = opt
+        assert (j_in, snr) == (opt.j_in, opt.snr) == (opt[0], opt[1])
+        assert opt.snr > 0
+
+
+def test_pump_optimizers_without_coupling_have_no_maximum(main_cavity):
+    # S is 0 at every pump rate, and the saturation pumps divided by g^2 = 0
+    uncoupled = replace(main_cavity, g_max=0.0)
+    calls = (
+        lambda: max_snr_over_pump(ATOM_RESONANT, uncoupled, TAU),
+        lambda: max_snr_hom_over_pump(ATOM_DISPERSIVE, uncoupled, TAU),
+        lambda: optimal_kappa_t(ATOM_RESONANT, uncoupled, SWEEP_DRIVE),
+        lambda: optimal_kappa_t_homodyne(ATOM_DISPERSIVE, uncoupled, SWEEP_DRIVE),
+    )
+    for call in calls:
+        with pytest.raises(NoMaximumInBounds):
+            call()
 
 
 def test_max_on_log_grid_reports_f_at_the_grid_point():
@@ -253,10 +267,8 @@ def test_max_on_log_grid_breaks_near_ties_with_f():
 
 
 def _pump_optimum(atom, cavity):
-    if atom.delta_a:
-        return max_snr_hom_over_pump(atom, cavity, TAU)
-    best = max_snr_over_pump(atom, cavity, TAU)
-    return best.j_in, best.snr
+    maximize = max_snr_hom_over_pump if atom.delta_a else max_snr_over_pump
+    return maximize(atom, cavity, TAU)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -308,14 +320,10 @@ def calls(monkeypatch):
 @pytest.mark.parametrize("cavity", SWEEP, ids=[f"sweep{i}" for i in range(len(SWEEP))])
 def test_optimizers_build_no_report_but_the_returned_one(calls, cavity):
     # the polish and the kappa_t search evaluate the SNR from the scalar
-    # root; a report is built only for max_snr_over_pump's result
-    for kw in ({}, {"n_decades": 3.0}):
-        calls["solves"] = 0
-        max_snr_over_pump(ATOM_RESONANT, cavity, TAU, **kw)
-        assert calls["solves"] == 1
-        max_snr_hom_over_pump(ATOM_DISPERSIVE, cavity, TAU, **kw)
-        assert calls["solves"] == 1
-    calls["solves"] = 0
+    # root, and no report is built, not even for the returned optimum
+    max_snr_over_pump(ATOM_RESONANT, cavity, TAU)
+    max_snr_hom_over_pump(ATOM_DISPERSIVE, cavity, TAU)
+    assert calls["solves"] == 0
     optimal_kappa_t_homodyne(ATOM_DISPERSIVE, cavity, SWEEP_DRIVE)
     calls["maximizations"].clear()
     optimal_kappa_t(ATOM_RESONANT, cavity, SWEEP_DRIVE)

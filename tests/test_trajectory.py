@@ -154,14 +154,14 @@ def test_windowed_counts_empty_stream():
 
 def test_detect_events_single_dip():
     times = np.arange(5) * 1.0
-    events = detect_events(times, np.array([12, 9, 12, 12, 12]), threshold=11)
+    events = detect_events(times, np.array([12, 9, 12, 12, 12]), threshold=11, min_dip=0.0)
     assert events.tolist() == [1.0]
 
 
 def test_detect_events_persistence():
     times = np.arange(8) * 1.0
     counts = np.array([12, 9, 9, 12, 9, 9, 9, 12])
-    assert detect_events(times, counts, 11).tolist() == [1.0, 4.0]
+    assert detect_events(times, counts, 11, min_dip=0.0).tolist() == [1.0, 4.0]
     # three-sample persistence keeps only the second excursion
     assert detect_events(times, counts, 11, min_dip=3.0).tolist() == [4.0]
     assert detect_events(times, counts, 11, min_dip=5.0).tolist() == []
@@ -169,9 +169,9 @@ def test_detect_events_persistence():
 
 def test_detect_events_none_below():
     times = np.arange(4) * 1.0
-    out = detect_events(times, np.array([12, 13, 12, 15]), threshold=11)
+    out = detect_events(times, np.array([12, 13, 12, 15]), threshold=11, min_dip=0.0)
     assert out.size == 0
-    assert detect_events(times, np.array([12, 13]), threshold=0).size == 0
+    assert detect_events(times, np.array([12, 13]), threshold=0, min_dip=0.0).size == 0
 
 
 # --- click statistics -----------------------------------------------------------

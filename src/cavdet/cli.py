@@ -144,7 +144,7 @@ class _PumpScan:
     The CSV is named after the command.  Rows are j_in [1/us] followed by the
     report fields of columns; the stdout summary is formatted with the point
     count n and, when best names a column, that column's maximum s and its
-    pump rate j.
+    pump rate j.  Where that column is 0 on every row, the summary says so.
     """
 
     help: str
@@ -244,12 +244,16 @@ def _cmd_pump_scan(args) -> int:
         ["j_in [1/us]", *(header for _, header in scan.columns)],
         rows,
     )
-    summary = {"n": len(rows)}
+    text, summary = scan.summary, {"n": len(rows)}
     if scan.best is not None:
         col = 1 + fields.index(scan.best)
         top = max(rows, key=lambda r: r[col])
         summary.update(s=top[col], j=top[0])
-    print(f"wrote {args.out}: " + scan.summary.format(**summary))
+        if not any(r[col] for r in rows):
+            # S is 0 at every pump rate (an uncoupled atom): none is the best
+            name = scan.columns[col - 1][1].split(" [")[0]  # the header without its unit
+            text = "{n} points, " + name + "=0 at every pump rate"
+    print(f"wrote {args.out}: " + text.format(**summary))
     return 0
 
 

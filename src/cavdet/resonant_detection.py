@@ -96,11 +96,15 @@ def _intensity_snr(n_out_empty, n_out_atom):
 
 
 def intensity_report(atom: AtomParams, cavity: CavityParams, drive: DriveParams) -> ResonantReport:
-    """Intensity-difference statistic at arbitrary detunings (no resonance check)."""
+    """Intensity-difference statistic at arbitrary detunings (no resonance check).
+
+    Without coupling (g_max = 0) the atom is uncoupled: N_out is N_out,0
+    and S is 0 exactly.
+    """
     empty = empty_cavity_state(cavity, drive)
     state = solve_stationary(atom, cavity, drive)
     n_out_empty = output_photons(empty, cavity, drive)
-    n_out_atom = output_photons(state, cavity, drive)
+    n_out_atom = n_out_empty if cavity.g_max == 0 else output_photons(state, cavity, drive)
     snr = float(_intensity_snr(n_out_empty, n_out_atom))
     m = 2.0 * atom.gamma * drive.tau * state.rho11
     saturation = 2.0 * cavity.g_max * cavity.g_max * state.n_photons / atom.gamma**2
@@ -173,14 +177,15 @@ def _snr_from_n(atom: AtomParams, cavity: CavityParams, j, n, tau: float):
     A float j keeps empty_cavity_state's empty-cavity count
     |eta/(kappa - i*delta_c)|^2: numpy's complex division rounds unlike
     Python's, so an array j takes eta^2/(kappa^2 + delta_c^2), equal to
-    rounding.
+    rounding.  As in the report, S is 0 exactly when g_max = 0.
     """
     if isinstance(j, np.ndarray):
         n_empty = j * cavity.kappa_t / (cavity.kappa**2 + cavity.delta_c**2)
     else:
         n_empty = abs(math.sqrt(j * cavity.kappa_t) / (cavity.kappa - 1j * cavity.delta_c)) ** 2
     n_out_empty = _detected_photons(n_empty, cavity, tau)
-    return _intensity_snr(n_out_empty, _detected_photons(n, cavity, tau))
+    n_out_atom = n_out_empty if cavity.g_max == 0 else _detected_photons(n, cavity, tau)
+    return _intensity_snr(n_out_empty, n_out_atom)
 
 
 def max_snr_over_pump(atom: AtomParams, cavity: CavityParams, tau: float) -> PumpOptimum:

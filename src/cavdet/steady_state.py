@@ -202,8 +202,9 @@ def _roots_scaled(g2, e2, kap, da, dc):
     holds exactly one root, _bracketed_root's.  A single piece starts from
     the start of _two_limits; of several, the lowest starts from n_lin,
     the highest from n_sat, and the middle one, which holds a root when
-    both others do, from the product of the three roots, -c0/c3.  Each
-    root must pass the root test again, or NoPhysicalRoot is raised.
+    both others do, from the product of the three roots, -c0/c3.  Every
+    root passed the root test in _bracketed_root, which raises
+    NoPhysicalRoot where none passes.
     """
     if e2 == 0.0:
         return [0.0]
@@ -243,9 +244,6 @@ def _roots_scaled(g2, e2, kap, da, dc):
             neg, pos = (lo, hi) if signs[k] < signs[k + 1] else (hi, lo)
             by_piece[k] = _bracketed_root(neg, pos, min(max(n, lo), hi), g2, e2, kap, da, dc)
         found = [by_piece[k] for k in sorted(by_piece)]
-    for n in found:
-        if _unconverged(_residual_scaled(n, g2, e2, kap, da, dc)[0], e2):
-            raise NoPhysicalRoot(f"N={n:.6g} is not a stationary root")
     roots = [found[0]]
     for r in found[1:]:
         if r - roots[-1] <= _MERGE_RTOL * max(r, 1e-300):

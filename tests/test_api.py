@@ -4,6 +4,7 @@ import inspect
 from pathlib import Path
 
 import cavdet
+from cavdet import optimize
 
 PACKAGE = Path(cavdet.__file__).resolve().parent
 
@@ -34,3 +35,27 @@ def _defaulted_parameters(path: Path) -> int:
 
 def test_defaulted_parameters_do_not_grow():
     assert sum(map(_defaulted_parameters, PACKAGE.glob("*.py"))) <= MAX_DEFAULTED_PARAMETERS
+
+
+def _parameters(fn):
+    return [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
+
+
+def test_optimizer_signatures_are_pinned():
+    # where a polish starts and when it stops are the optimizer's own
+    # decisions, not options
+    empty = inspect.Parameter.empty
+    assert _parameters(optimize.golden_max) == [
+        ("f", empty), ("lo", empty), ("hi", empty), ("rel_tol", empty)
+    ]
+    assert _parameters(optimize.max_on_log_grid) == [
+        ("f", empty), ("lo", empty), ("hi", empty), ("per_decade", empty), ("f_grid", None)
+    ]
+    assert _parameters(optimize.best_pump) == [
+        ("snr", empty), ("center", empty), ("atom", empty), ("cavity", empty), ("tau", empty),
+        ("per_decade", 61),
+    ]
+    assert _parameters(optimize.max_over_kappa_t) == [
+        ("snr", empty), ("center", empty), ("atom", empty), ("cavity", empty), ("tau", empty),
+        ("bounds", None),
+    ]

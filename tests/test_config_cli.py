@@ -836,8 +836,10 @@ def test_cli_pump_scans_without_coupling(tmp_path, capsys, command):
     assert run(argv + ["--jmin-per-us", "1", "--jmax-per-us", "10"]) == 0
     rows = np.loadtxt(out, delimiter=",", comments="#", skiprows=4)
     s = rows[:, 3 if command == "scan-pump" else 2]
-    # the empty-cavity count minus the same count, to rounding
-    assert np.all(np.abs(s) <= 1e-12)
+    # an uncoupled atom: S is 0 exactly, and no pump rate is named the best
+    assert s.tolist() == [0.0] * 5
+    name = "S" if command == "scan-pump" else "S_hom"
+    assert capsys.readouterr().out == f"wrote {out}: 5 points, {name}=0 at every pump rate\n"
 
 
 def test_solver_is_finite_at_the_corners_of_its_ranges():

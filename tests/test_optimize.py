@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cavdet import NoMaximumInBounds
-from cavdet.optimize import golden_max, max_on_log_grid
+from cavdet.optimize import _POLISH_RTOL, golden_max, max_on_log_grid
 
 
 def test_golden_max_quadratic():
@@ -108,3 +109,61 @@ def test_max_on_log_grid_returns_a_range_end_after_one_probe(sign):
 def test_max_on_log_grid_rejects_a_non_finite_range(lo, hi):
     with pytest.raises(NoMaximumInBounds):
         max_on_log_grid(lambda x: x, lo, hi, per_decade=11)
+
+
+# rounding: where a few evaluations of f agree to this many ulps of the
+# peak's value, Brent's method cannot tell them apart
+ROUNDING = 64 * np.finfo(float).eps
+# single peaks in t = (log x - peak)/width, each minimal (0) at t = 0, and
+# a half-width in t within which shape(t) <= r: for r = ROUNDING*|h|/c,
+# h - c*shape(t) is within ROUNDING*|h| of h there
+PEAKS = {
+    "quadratic": (lambda t: t * t, lambda r: math.sqrt(r)),
+    "quartic (flat top)": (lambda t: t**4, lambda r: 1.2 * r**0.25),
+    "asymmetric": (lambda t: np.expm1(t) - t, lambda r: 1.2 * math.sqrt(2.0 * r)),
+    "heavy tails": (lambda t: np.log1p(t * t), lambda r: 1.2 * math.sqrt(r)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(PEAKS)),
+    log_lo=st.floats(min_value=-3.0, max_value=9.0),
+    decades=st.floats(min_value=1.0, max_value=4.0),
+    per_decade=st.integers(min_value=5, max_value=61),
+    place=st.sampled_from(["anywhere", "lo end interval", "hi end interval"]),
+    where=st.floats(min_value=0.0, max_value=1.0),
+    width=st.floats(min_value=0.05, max_value=3.0),
+    height=st.one_of(st.just(0.0), st.floats(min_value=-1e3, max_value=1e3)),
+    curvature=st.floats(min_value=1e-6, max_value=1e3),
+    batched=st.booleans(),
+)
+# a flat top high above zero, midway between two grid points (244 intervals)
+@example("quartic (flat top)", 5.0, 4.0, 61, "anywhere", 90.5 / 244, 0.5, 300.0, 1e-3, True)
+# a peak inside the top end interval, where the polish starts one probe inside
+@example("asymmetric", 6.0, 4.0, 31, "hi end interval", 0.4, 0.3, 50.0, 0.01, False)
+def test_started_polish_finds_a_single_peak(
+    shape, log_lo, decades, per_decade, place, where, width, height, curvature, batched
+):
+    # the polish starts at the best grid point: it still ends within its
+    # tolerance of the peak, or where f is flat to rounding, and no point
+    # of a dense grid is better by more than f falls within that tolerance
+    # and rounding
+    lo, hi = 10.0**log_lo, 10.0 ** (log_lo + decades)
+    a, b = math.log(lo), math.log(hi)
+    step = (b - a) / max(1, round(per_decade * decades))
+    peak = {
+        "anywhere": a + where * (b - a),
+        "lo end interval": a + where * step,
+        "hi end interval": b - where * step,
+    }[place]
+    bump, flat = PEAKS[shape]
+    f_array = lambda x: height - curvature * bump((np.log(x) - peak) / width)
+    f = lambda x: float(f_array(np.float64(x)))
+    x, fx = max_on_log_grid(f, lo, hi, per_decade, f_grid=f_array if batched else None)
+    assert fx == f(x)
+    bracket = _POLISH_RTOL * 2.0 * (abs(peak) + 2.0 * step)
+    assert abs(math.log(x) - peak) <= bracket + width * flat(ROUNDING * abs(height) / curvature)
+    fall = curvature * max(bump(bracket / width), bump(-bracket / width))
+    dense = np.logspace(math.log10(lo), math.log10(hi), 20001)
+    assert fx >= f_array(dense).max() - fall - ROUNDING * (abs(height) + curvature)

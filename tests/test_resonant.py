@@ -1,5 +1,6 @@
 """Resonant-detection figures of merit: frozen pins, limits, optimizers."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from cavdet import (
     snr_strong_limit,
     snr_weak_limit,
 )
+from cavdet import resonant_detection, steady_state
 
 TAU = 10 * US
 
@@ -223,3 +225,21 @@ def test_snr_zero_when_output_dark(atom, drive2):
     rep = snr_resonant(atom, cavity, DriveParams(1e-3, TAU))
     assert rep.snr >= 0.0
     assert rep.n_out_atom <= rep.n_out_empty
+
+
+@pytest.mark.parametrize("asymmetric", [False, True])
+def test_snr_is_zero_without_coupling(atom, main_cavity, asymmetric):
+    # an uncoupled atom changes nothing: N_out is N_out,0, and S is 0 exactly,
+    # not the rounding between the empty-cavity count and the solver's root
+    j = np.logspace(6, 7, 5)
+    for cavity in (
+        replace(main_cavity, g_max=0.0, asymmetric_input=asymmetric),
+        replace(main_cavity, g_max=0.0, asymmetric_input=asymmetric, delta_c=0.7 * MHZ),
+    ):
+        n = steady_state._stationary_pump_scan(atom, cavity, j)
+        assert resonant_detection._snr_from_n(atom, cavity, j, n, TAU).tolist() == [0.0] * j.size
+        for x in j.tolist():
+            rep = intensity_report(atom, cavity, DriveParams(x, TAU))
+            assert rep.snr == 0.0 and rep.n_out_atom == rep.n_out_empty
+            n = steady_state._pump_root(atom, cavity, x)
+            assert resonant_detection._snr_from_n(atom, cavity, x, n, TAU) == rep.snr

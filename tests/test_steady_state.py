@@ -396,6 +396,47 @@ def test_cold_start_leaves_only_screened_elements_to_the_scalar_solver(case):
     assert all(_may_be_bistable(*args) for args in handed)
 
 
+# narrow_cavity inside its fold: three positive roots
+THREE_ROOT_CASE = (12.0, 0.59, 0.59, 0.0, 0.0, 120e6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(solver_domain, saturation_corner))
+@example(case=CORNER_EXAMPLES[0])
+@example(case=ZERO_DISCRIMINANT_CASE)
+@example(case=THREE_ROOT_CASE)
+def test_scalar_roots_passed_the_bracketed_root_test(case):
+    # _roots_scaled returns only N that _bracketed_root's own root test
+    # passed, so it checks no residual again
+    g, kt, kl, da, dc, j = case
+    atom = AtomParams(delta_a=da * MHZ)
+    cavity = CavityParams(g_max=g * MHZ, kappa_t=kt * MHZ, kappa_loss=kl * MHZ, delta_c=dc * MHZ)
+    tested, passed = [], set()
+    residual, unconverged = steady_state._residual_scaled, steady_state._unconverged
+
+    def spy_residual(n, *args):
+        tested.append(n)
+        return residual(n, *args)
+
+    def spy_unconverged(f, e2):
+        # _bracketed_root tests the residual it has just evaluated
+        failed = unconverged(f, e2)
+        if not failed:
+            passed.add(tested[-1])
+        return failed
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mp.setattr(steady_state, "_residual_scaled", spy_residual)
+        mp.setattr(steady_state, "_unconverged", spy_unconverged)
+        roots = stationary_photon_numbers(atom, cavity, DriveParams(j_in=j, tau=1e-5))
+    assert set(roots) <= passed
+    # and no residual is evaluated at a root a second time
+    assert all(tested.count(n) == 1 for n in roots)
+    if case == THREE_ROOT_CASE:
+        assert len(roots) == 3
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=st.one_of(solver_domain, saturation_corner), asymmetric=st.booleans())
 @example(case=CORNER_EXAMPLES[0], asymmetric=False)

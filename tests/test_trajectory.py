@@ -499,11 +499,12 @@ def test_recoil_solve_guard_falls_back_where_bistable(monkeypatch, atom, guide):
 
 
 def test_recoil_fallback_that_is_not_a_root_raises(monkeypatch, atom, guide):
-    solve = steady_state._bracketed_root
-    monkeypatch.setattr(steady_state, "_bracketed_root", lambda *args: 1.5 * solve(*args))
+    # no N passes the root test: the stepper's elements fall back to the
+    # scalar solver, whose bracketed solve raises instead of returning a
+    # number that is not a root
+    monkeypatch.setattr(steady_state, "_ROOT_RTOL", -1.0)
     sim = SimConfig(seed=0, duration=40 * US)
-    # raised by the scalar solver's residual check of its bracketed roots
-    with pytest.raises(NoPhysicalRoot, match="not a stationary root"):
+    with pytest.raises(NoPhysicalRoot, match="no stationary root passed"):
         simulate_block(atom, STRONG_CAVITY, STRONG_DRIVE, guide, sim, [trajectory_rng(0, 2)])[0]
 
 

@@ -22,14 +22,14 @@ import numpy as np
 
 from . import __version__
 from .config import PUMP_RANGE_PER_US, RATE_RANGE_MHZ, in_range, load_config, parse_config
-from .errors import CavdetError, ConfigError, NotDispersive, NotResonant
+from .errors import CavdetError, ConfigError, NotDispersive, NotResonant, StepTooLarge
 from .fiber_cavity import FiberCavityDesign, derive, design_to_cavity, v_number
 from .homodyne_detection import dispersive_saturation_pump, homodyne_report
 from .motion import spatial_averages
 from .params import MHZ, UM, US, AtomParams, DriveParams
 from .resonant_detection import output_photons, saturation_pump, snr_resonant
 from .steady_state import empty_cavity_state, solve_stationary
-from .trajectory_sim import run_ensemble
+from .trajectory_sim import _check_step, run_ensemble
 
 
 _FLOAT = "%.12g"  # every float in a CSV
@@ -272,6 +272,10 @@ def _cmd_simulate(args) -> int:
     sim_section = {**cfg.resolved["sim"], **{k: v for k, v in flags.items() if v is not None}}
     cfg = parse_config({**cfg.resolved, "sim": sim_section})
     sim = cfg.sim
+    try:
+        _check_step(cfg.atom, cfg.guide, sim)
+    except StepTooLarge as exc:  # the config's own step against its own guide
+        raise ConfigError(f"sim.dt_us={sim_section['dt_us']!r} is too coarse: {exc}") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -358,6 +362,11 @@ def _cmd_design_cavity(args) -> int:
     if args.length_mm is not None:
         length = args.length_mm * 1e-3
     else:
+        # the design's own index rule, before the index converts half waves to a length
+        if not (math.isfinite(n) and n > args.n_clad > 1.0):
+            raise ConfigError(
+                f"--n-core must be finite and above --n-clad > 1, got {n} and {args.n_clad}"
+            )
         length = args.length_half_waves * (args.lambda_nm * 1e-9) / (2.0 * n)
     design = FiberCavityDesign(
         fiber_length=length,

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import NotDispersive, SmallDetuningWarning
 from .optimize import KappaTOptimum, PumpOptimum, best_pump, max_over_kappa_t
 from .params import AtomParams, CavityParams, DriveParams, cooperativity
-from .resonant_detection import _detected_photons, output_photons
-from .steady_state import _atom_response, empty_cavity_state, solve_stationary
+from .resonant_detection import _counts, _detected_photons, _scattered
+from .steady_state import _atom_response, stationary_photon_numbers
 
 SMALL_ANGLE_MAX = 0.3  # |phi| beyond which the linearized forms degrade
 
@@ -62,7 +62,7 @@ def _phase_and_snr(light_shift, kappa, n_out):
 
 
 def homodyne_report(atom: AtomParams, cavity: CavityParams, drive: DriveParams) -> HomodyneReport:
-    """Full nonlinear homodyne observables; pump on the cavity line, atom detuned."""
+    """Homodyne observables at the lower root, S as _snr_hom_from_n scores it; atom detuned."""
     check_dispersive(atom, cavity)
     if abs(atom.delta_a) < 10.0 * atom.gamma:
         warnings.warn(
@@ -71,17 +71,15 @@ def homodyne_report(atom: AtomParams, cavity: CavityParams, drive: DriveParams) 
             SmallDetuningWarning,
             stacklevel=2,
         )
-    state = solve_stationary(atom, cavity, drive)
-    n_out = output_photons(state, cavity, drive)
-    n_out_empty = output_photons(empty_cavity_state(cavity, drive), cavity, drive)
-    phi, snr = _phase_and_snr(state.light_shift, cavity.kappa, n_out)
-    m = 2.0 * atom.gamma * drive.tau * state.rho11
+    n = stationary_photon_numbers(atom, cavity, drive)[0]
+    n_out = _detected_photons(n, cavity, drive.tau)
+    phi, snr = _phase_and_snr(_atom_response(n, cavity.g_max, atom)[2], cavity.kappa, n_out)
     return HomodyneReport(
         phase_shift=phi,
         snr=float(snr),
         n_out=n_out,
-        n_out_empty=n_out_empty,
-        m_scattered=m,
+        n_out_empty=_counts(cavity, drive.j_in, n, drive.tau)[0],
+        m_scattered=_scattered(atom, cavity, n, drive.tau),
         small_angle_valid=abs(phi) < SMALL_ANGLE_MAX,
     )
 
@@ -135,10 +133,9 @@ def dispersive_saturation_pump(atom: AtomParams, cavity: CavityParams) -> float:
 
 
 def _snr_hom_from_n(atom: AtomParams, cavity: CavityParams, j, n, tau: float):
-    """homodyne_report(...).snr for the lower-branch photon number n at g_max.
+    """homodyne_report's S for the lower-branch photon number n; floats or arrays.
 
-    Takes floats or arrays; on floats it is the report's SNR to the last
-    bit.  The pump rate j enters only through n.
+    The pump rate j enters only through n.
     """
     _, _, light_shift = _atom_response(n, cavity.g_max, atom)
     return _phase_and_snr(light_shift, cavity.kappa, _detected_photons(n, cavity, tau))[1]
@@ -149,8 +146,9 @@ def max_snr_hom_over_pump(atom: AtomParams, cavity: CavityParams, tau: float) ->
 
     The pump range is centered on the dispersive saturation pump (see
     optimize.best_pump, shared with the resonant scheme); S is
-    homodyne_report(...).snr at j_in to the last bit.  An optimum returned
-    at the top of the range is the range end, and it is not flagged.
+    homodyne_report(...).snr at j_in, the same arithmetic.  An optimum
+    returned at the top of the range is the range end, and it is not
+    flagged.
     """
     check_dispersive(atom, cavity)
     return best_pump(_snr_hom_from_n, dispersive_saturation_pump, atom, cavity, tau)

@@ -176,9 +176,9 @@ def best_pump(snr, center, atom, cavity, tau: float, per_decade: int = 61) -> Pu
     center(atom, cavity) is its saturation pump.  The log grid,
     _PUMP_DECADES wide and centered on that pump, is solved in one batched
     call (_stationary_pump_scan), and max_on_log_grid polishes its best
-    point on the scalar lower root (_pump_root), so S is the scheme's
-    report SNR at j_in to the last bit.  An optimum at an end of the range
-    is bounded by _PUMP_DECADES and not flagged.  Without coupling
+    point on the scalar lower root (_pump_root), the root and snr its
+    report takes, so S is the report's S at j_in.  An optimum at an end of
+    the range is bounded by _PUMP_DECADES and not flagged.  Without coupling
     (g_max = 0) S is 0 at every pump rate, which raises NoMaximumInBounds.
     """
     if cavity.g_max == 0:

@@ -72,7 +72,8 @@ class CavityParams:
 
     g_max is the single-photon Rabi frequency at a field antinode on axis.
     kappa_t decays through the output mirror, kappa_loss through everything
-    else; the total field decay rate is their sum.  delta_c is the
+    else; the total field decay rate is their sum.  kappa_loss defaults to 0,
+    a lossless cavity, not to the config's 6 MHz.  delta_c is the
     pump-minus-cavity detuning.  asymmetric_input doubles the detected
     output (all useful light leaves through the one transmissive mirror).
     """
@@ -82,7 +83,7 @@ class CavityParams:
     kappa_loss: float = 0.0
     delta_c: float = 0.0
     waist: float = 3.0 * UM
-    length: float = 10.4e-3
+    length: float = 10.4 * 1e-3  # the config's own expression
     asymmetric_input: bool = False
 
     def __post_init__(self):

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NotResonant
 from .optimize import KappaTOptimum, PumpOptimum, best_pump, max_over_kappa_t
 from .params import AtomParams, CavityParams, DriveParams, cooperativity
-from .steady_state import StationaryState, empty_cavity_state, solve_stationary
+from .steady_state import StationaryState, _atom_response, stationary_photon_numbers
 
 # cooperativity bands for tagging which closed-form branch applies
 WEAK_COUPLING_MAX = 0.2
@@ -95,25 +95,40 @@ def _intensity_snr(n_out_empty, n_out_atom):
     return (n_out_empty - n_out_atom) * lit / np.sqrt(n_out_atom + (n_out_atom <= 0))
 
 
-def intensity_report(atom: AtomParams, cavity: CavityParams, drive: DriveParams) -> ResonantReport:
-    """Intensity-difference statistic at arbitrary detunings (no resonance check).
+def _counts(cavity: CavityParams, j, n, tau: float):
+    """Detected photons (N_out,0, N_out) at pump rate j and photon number n; floats or arrays.
 
-    Without coupling (g_max = 0) the atom is uncoupled: N_out is N_out,0
-    and S is 0 exactly.
+    A float j takes empty_cavity_state's |eta/(kappa - i*delta_c)|^2 to the
+    last bit; numpy's complex division rounds unlike Python's, so an array
+    j takes eta^2/(kappa^2 + delta_c^2).  At g_max = 0 N_out is N_out,0.
     """
-    empty = empty_cavity_state(cavity, drive)
-    state = solve_stationary(atom, cavity, drive)
-    n_out_empty = output_photons(empty, cavity, drive)
-    n_out_atom = n_out_empty if cavity.g_max == 0 else output_photons(state, cavity, drive)
-    snr = float(_intensity_snr(n_out_empty, n_out_atom))
-    m = 2.0 * atom.gamma * drive.tau * state.rho11
-    saturation = 2.0 * cavity.g_max * cavity.g_max * state.n_photons / atom.gamma**2
+    if isinstance(j, np.ndarray):
+        n_empty = j * cavity.kappa_t / (cavity.kappa**2 + cavity.delta_c**2)
+    else:
+        n_empty = abs(math.sqrt(j * cavity.kappa_t) / (cavity.kappa - 1j * cavity.delta_c)) ** 2
+    n_out_empty = _detected_photons(n_empty, cavity, tau)
+    return n_out_empty, n_out_empty if cavity.g_max == 0 else _detected_photons(n, cavity, tau)
+
+
+def _scattered(atom: AtomParams, cavity: CavityParams, n: float, tau: float) -> float:
+    """Scattering budget M = 2*Gamma*tau*rho11, rho11 = g^2*N/D at photon number n and g_max."""
+    g = cavity.g_max
+    return 2.0 * atom.gamma * tau * (g * g * n / _atom_response(n, g, atom)[0])
+
+
+def intensity_report(atom: AtomParams, cavity: CavityParams, drive: DriveParams) -> ResonantReport:
+    """Intensity observables at the lower root, S as _snr_from_n scores it; no resonance check.
+
+    Without coupling (g_max = 0) N_out is N_out,0 and S is 0 exactly.
+    """
+    n = stationary_photon_numbers(atom, cavity, drive)[0]
+    n_out_empty, n_out_atom = _counts(cavity, drive.j_in, n, drive.tau)
     return ResonantReport(
         n_out_empty=n_out_empty,
         n_out_atom=n_out_atom,
-        snr=snr,
-        m_scattered=m,
-        saturation=saturation,
+        snr=float(_intensity_snr(n_out_empty, n_out_atom)),
+        m_scattered=_scattered(atom, cavity, n, drive.tau),
+        saturation=2.0 * cavity.g_max * cavity.g_max * n / atom.gamma**2,
     )
 
 
@@ -171,21 +186,8 @@ def saturation_pump(atom: AtomParams, cavity: CavityParams) -> float:
 
 
 def _snr_from_n(atom: AtomParams, cavity: CavityParams, j, n, tau: float):
-    """intensity_report(...).snr at pump rate j for the lower-branch photon number n at g_max.
-
-    Takes floats or arrays; on floats it is the report's SNR to the last bit.
-    A float j keeps empty_cavity_state's empty-cavity count
-    |eta/(kappa - i*delta_c)|^2: numpy's complex division rounds unlike
-    Python's, so an array j takes eta^2/(kappa^2 + delta_c^2), equal to
-    rounding.  As in the report, S is 0 exactly when g_max = 0.
-    """
-    if isinstance(j, np.ndarray):
-        n_empty = j * cavity.kappa_t / (cavity.kappa**2 + cavity.delta_c**2)
-    else:
-        n_empty = abs(math.sqrt(j * cavity.kappa_t) / (cavity.kappa - 1j * cavity.delta_c)) ** 2
-    n_out_empty = _detected_photons(n_empty, cavity, tau)
-    n_out_atom = n_out_empty if cavity.g_max == 0 else _detected_photons(n, cavity, tau)
-    return _intensity_snr(n_out_empty, n_out_atom)
+    """intensity_report's S at pump rate j, lower-branch photon number n; floats or arrays."""
+    return _intensity_snr(*_counts(cavity, j, n, tau))
 
 
 def max_snr_over_pump(atom: AtomParams, cavity: CavityParams, tau: float) -> PumpOptimum:
@@ -193,7 +195,7 @@ def max_snr_over_pump(atom: AtomParams, cavity: CavityParams, tau: float) -> Pum
 
     The pump range is centered on the saturation pump, where the optimum
     sits at weak coupling (see optimize.best_pump, shared with the
-    homodyne scheme); S is snr_resonant(...).snr at j_in to the last bit.
+    homodyne scheme); S is snr_resonant(...).snr at j_in, the same arithmetic.
     At strong coupling the SNR can still rise at the top of the range: the
     optimum returned there is the range end, and it is not flagged.
     """

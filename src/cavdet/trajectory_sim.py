@@ -46,7 +46,7 @@ class GuideParams:
 
     trap_omega: float = 37.0 * KHZ
     mean_velocity: float = 0.4
-    temperature: float = 30e-6
+    temperature: float = 30.0 * 1e-6  # the config's own expression
 
     def __post_init__(self):
         require_finite(self, "guide")

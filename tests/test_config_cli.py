@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +15,17 @@ import pytest
 
 from cavdet import (
     AtomParams,
+    CavityParams,
     ConfigError,
     DriveParams,
     FiberCavityDesign,
+    GuideParams,
     KHZ,
     MHZ,
     UM,
     US,
     SaturationWarning,
+    SimConfig,
     SmallDetuningWarning,
     config_digest,
     derive,
@@ -41,6 +44,7 @@ from cavdet import cli
 from cavdet.cli import _fmt, _pump_grid, run
 from cavdet.config import DEFAULTS, RANGES
 from cavdet.errors import NoPhysicalRoot, StepTooLarge
+from cavdet.steady_state import StationaryState
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -69,6 +73,36 @@ def test_defaults_round_trip():
     assert cfg.sim.threshold == 11
     assert cfg.resolved == DEFAULTS
     assert cfg.digest == config_digest(DEFAULTS)
+
+
+def test_dataclass_defaults_are_the_configs():
+    # one owner per default: every dataclass field with a config key defaults
+    # to what parse_config({}) resolves, to the bit; kappa_loss alone defaults
+    # to a lossless cavity on purpose
+    cfg = parse_config({})
+    defaults = {
+        "atom": AtomParams(),
+        "guide": GuideParams(),
+        "sim": SimConfig(),
+        "cavity": CavityParams(g_max=cfg.cavity.g_max, kappa_t=cfg.cavity.kappa_t),
+    }
+    for section, default in defaults.items():
+        resolved = getattr(cfg, section)
+        for field in fields(default):
+            value = getattr(default, field.name)
+            if (section, field.name) == ("cavity", "kappa_loss"):
+                assert value == 0.0 < resolved.kappa_loss
+            else:
+                assert repr(value) == repr(getattr(resolved, field.name)), field.name
+    # design-cavity's flags default to the design's and the atom's values
+    args = cli.build_parser().parse_args(["design-cavity", "--core-um", "5"])
+    design = FiberCavityDesign(fiber_length=10.4e-3)
+    assert (args.n_core, args.n_clad, args.transmission, args.lambda_nm * 1e-9) == (
+        design.n_core, design.n_clad, design.mirror_transmission, design.wavelength0
+    )
+    assert (args.lambda_nm * 1e-9, args.gamma_mhz * MHZ) == (
+        AtomParams().wavelength, AtomParams().gamma
+    )
 
 
 def test_detuning_scales_with_linewidth():
@@ -234,6 +268,31 @@ def test_cli_scan_pump(tmp_path):
     assert data[0].startswith("j_in [1/us]")
     assert len(data) == 51  # header + 50 rows
     assert all(len(row.split(",")) == 6 for row in data[1:])
+
+
+def test_reports_and_pump_scans_build_no_stationary_state(tmp_path, monkeypatch):
+    # the reports take their photon number from the lower root; through
+    # solve_stationary and empty_cavity_state the scans built two states per
+    # grid point, 400 on these 200-point grids
+    built = []
+    init = StationaryState.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("n_photons"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StationaryState, "__init__", spy)
+    main, narrow = load_config(MAIN), load_config(NARROW)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        snr_resonant(main.atom, main.cavity, main.drive)
+        homodyne_report(narrow.atom, narrow.cavity, narrow.drive)
+        for command, config in (("scan-pump", MAIN), ("homodyne-scan", NARROW)):
+            assert run([command, "--config", config, "--out", str(tmp_path / "scan.csv")]) == 0
+    assert built == []
+    # steady writes the full state of the atom and of the empty cavity
+    assert run(["steady", "--config", MAIN, "--out", str(tmp_path / "steady.json")]) == 0
+    assert len(built) == 2
 
 
 def test_cli_scan_pump_rejects_detuned_config(tmp_path, capsys):
@@ -593,6 +652,24 @@ def test_cli_simulate_flags_write_what_a_config_holding_them_writes(tmp_path):
     assert (report["config"], report["config_sha256"]) == (cfg.resolved, cfg.digest)
 
 
+@pytest.mark.parametrize(
+    "guide", [{"temperature_uk": 3e6}, {"mean_velocity_m_s": 1000.0}], ids=["hot", "fast"]
+)
+def test_cli_simulate_step_too_coarse_for_its_guide_is_a_config_error(tmp_path, capsys, guide):
+    # the config's dt against its own guide and atom: this exited 3 as a
+    # numerical failure; the library still raises StepTooLarge
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"guide": guide}))
+    out = tmp_path / "sim"
+    assert run(["simulate", "--config", str(config), "--out", str(out), "--atoms", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sim.dt_us=0.05 ") and "(bound " in err
+    assert not out.exists()
+    cfg = load_config(config)
+    with pytest.raises(StepTooLarge):
+        run_ensemble(cfg.atom, cfg.cavity, cfg.drive, cfg.guide, replace(cfg.sim, n_atoms=2))
+
+
 def test_cli_simulate_failure_leaves_earlier_output(tmp_path, monkeypatch, capsys):
     out = tmp_path / "sim"
     argv = ["simulate", "--config", TRANSIT, "--out", str(out), "--atoms", "2"]
@@ -788,6 +865,13 @@ _OUT_OF_RANGE = [
      "n_core=1e+200"),
     (["design-cavity", "--core-um", "5", "--length-mm", "10.4", "--n-core", "1e200", "--n-clad",
       "5e199"], None, "n_clad=5e+199"),
+    # --length-half-waves divided by the index unchecked: a ZeroDivisionError
+    # (exit 1), or a non-finite fiber_length named in its place
+    *(
+        (["design-cavity", "--core-um", "5", "--length-half-waves", "40000", "--n-core", n_core],
+         None, "--n-core")
+        for n_core in ("0", "nan", "1e-320")
+    ),
 ]
 
 

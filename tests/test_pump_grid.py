@@ -7,6 +7,7 @@ The references here are the scalar reports, and the same maximizers with
 the scalar objective mapped over the grid.
 """
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -355,8 +356,10 @@ def calls(monkeypatch):
         seen["maximizations"].append((lo, hi, x, len(evaluations)))
         return x, fx
 
-    for module in (steady_state, resonant_detection, homodyne_detection):
-        monkeypatch.setattr(module, "solve_stationary", spy_solve)
+    # every cavdet module that binds the name
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "cavdet" and getattr(module, "solve_stationary", None) is solve:
+            monkeypatch.setattr(module, "solve_stationary", spy_solve)
     monkeypatch.setattr(optimize, "max_on_log_grid", spy_grid)
     return seen
 

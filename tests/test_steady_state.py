@@ -6,7 +6,7 @@ Brent's method -- no shared code with the production solver.
 """
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,11 +19,14 @@ from cavdet import (
     AtomParams,
     CavityParams,
     DriveParams,
+    HomodyneReport,
+    ResonantReport,
     StepTooLarge,
     empty_cavity_state,
     homodyne_report,
     integrate_bloch,
     intensity_report,
+    output_photons,
     solve_stationary,
     stationary_photon_numbers,
     stationary_scan,
@@ -466,6 +469,67 @@ def test_pump_objectives_are_the_reports_snr(case, asymmetric):
         expected = homodyne_report(dispersive, on_line, drive).snr
         n = steady_state._pump_root(dispersive, on_line, j)
         assert homodyne_detection._snr_hom_from_n(dispersive, on_line, j, n, drive.tau) == expected
+
+
+def _reports_from_states(resonant, dispersive, cavity, on_line, drive):
+    """Both reports as they were built from two StationaryStates: the reports' oracle."""
+    empty = empty_cavity_state(cavity, drive)
+    state = solve_stationary(resonant, cavity, drive)
+    n_out_empty = output_photons(empty, cavity, drive)
+    n_out_atom = n_out_empty if cavity.g_max == 0 else output_photons(state, cavity, drive)
+    intensity = ResonantReport(
+        n_out_empty=n_out_empty,
+        n_out_atom=n_out_atom,
+        snr=float(resonant_detection._intensity_snr(n_out_empty, n_out_atom)),
+        m_scattered=2.0 * resonant.gamma * drive.tau * state.rho11,
+        saturation=2.0 * cavity.g_max * cavity.g_max * state.n_photons / resonant.gamma**2,
+    )
+    state = solve_stationary(dispersive, on_line, drive)
+    n_out = output_photons(state, on_line, drive)
+    phi, snr = homodyne_detection._phase_and_snr(state.light_shift, on_line.kappa, n_out)
+    homodyne = HomodyneReport(
+        phase_shift=phi,
+        snr=float(snr),
+        n_out=n_out,
+        n_out_empty=output_photons(empty_cavity_state(on_line, drive), on_line, drive),
+        m_scattered=2.0 * dispersive.gamma * drive.tau * state.rho11,
+        small_angle_valid=abs(phi) < homodyne_detection.SMALL_ANGLE_MAX,
+    )
+    return intensity, homodyne
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(solver_domain, saturation_corner), asymmetric=st.booleans())
+@example(case=CORNER_EXAMPLES[0], asymmetric=False)
+@example(case=ZERO_DISCRIMINANT_CASE, asymmetric=True)
+@example(case=(0.0, 3.0, 6.0, 40.0, 2.5, 2e6), asymmetric=True)
+@example(case=(0.0, 0.59, 0.59, 0.0, -7.0, 1e9), asymmetric=False)
+@example(case=(12.0, 3.0, 6.0, 0.0, 15.0, 2e6), asymmetric=True)
+def test_reports_are_the_stationary_state_route(case, asymmetric):
+    # each report computes every field from the lower root with its
+    # optimizers' arithmetic; field by field it is the report built from
+    # solve_stationary, empty_cavity_state and output_photons, to the bit
+    g, kt, kl, da, dc, j = case
+    cavity = CavityParams(
+        g_max=g * MHZ,
+        kappa_t=kt * MHZ,
+        kappa_loss=kl * MHZ,
+        delta_c=dc * MHZ,
+        asymmetric_input=asymmetric,
+    )
+    drive = DriveParams(j_in=j, tau=1e-5)
+    resonant = AtomParams(delta_a=da * MHZ)
+    dispersive = AtomParams(delta_a=(da if abs(da) > 1e-6 else 1.0) * MHZ)
+    on_line = replace(cavity, delta_c=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = (intensity_report(resonant, cavity, drive), homodyne_report(dispersive, on_line, drive))
+        expected = _reports_from_states(resonant, dispersive, cavity, on_line, drive)
+    for report, oracle in zip(got, expected):
+        assert type(report) is type(oracle)
+        for field in fields(report):
+            value, old = getattr(report, field.name), getattr(oracle, field.name)
+            assert value == old and repr(value) == repr(old), field.name
 
 
 def test_roots_either_side_of_the_folds(atom, narrow_cavity):

@@ -367,6 +367,8 @@ def _cmd_design_cavity(args) -> int:
             raise ConfigError(
                 f"--n-core must be finite and above --n-clad > 1, got {n} and {args.n_clad}"
             )
+        if not (math.isfinite(args.lambda_nm) and args.lambda_nm > 0):
+            raise ConfigError(f"--lambda-nm must be finite and positive, got {args.lambda_nm}")
         length = args.length_half_waves * (args.lambda_nm * 1e-9) / (2.0 * n)
     design = FiberCavityDesign(
         fiber_length=length,

@@ -72,13 +72,13 @@ def homodyne_report(atom: AtomParams, cavity: CavityParams, drive: DriveParams) 
             stacklevel=2,
         )
     n = stationary_photon_numbers(atom, cavity, drive)[0]
-    n_out = _detected_photons(n, cavity, drive.tau)
+    n_out_empty, n_out = _counts(cavity, drive.j_in, n, drive.tau)
     phi, snr = _phase_and_snr(_atom_response(n, cavity.g_max, atom)[2], cavity.kappa, n_out)
     return HomodyneReport(
         phase_shift=phi,
         snr=float(snr),
         n_out=n_out,
-        n_out_empty=_counts(cavity, drive.j_in, n, drive.tau)[0],
+        n_out_empty=n_out_empty,
         m_scattered=_scattered(atom, cavity, n, drive.tau),
         small_angle_valid=abs(phi) < SMALL_ANGLE_MAX,
     )
@@ -142,16 +142,16 @@ def _snr_hom_from_n(atom: AtomParams, cavity: CavityParams, j, n, tau: float):
 
 
 def max_snr_hom_over_pump(atom: AtomParams, cavity: CavityParams, tau: float) -> PumpOptimum:
-    """Maximize S_hom over the pump rate.
+    """Maximize S_hom over the pump rate (see optimize.best_pump).
 
-    The pump range is centered on the dispersive saturation pump (see
-    optimize.best_pump, shared with the resonant scheme); S is
-    homodyne_report(...).snr at j_in, the same arithmetic.  An optimum
-    returned at the top of the range is the range end, and it is not
-    flagged.
+    S is homodyne_report(...).snr at j_in, the same arithmetic.  On
+    strongly coupled cavities the optimum can lie inside the bistable
+    window, or at a fold of it, where the semiclassical model is least
+    trustworthy (the resonant optimum of a g = 12 MHz, kappa_t =
+    kappa_loss = 0.59 MHz cavity, S 616.5, is S 51 in the master equation).
     """
     check_dispersive(atom, cavity)
-    return best_pump(_snr_hom_from_n, dispersive_saturation_pump, atom, cavity, tau)
+    return best_pump(_snr_hom_from_n, atom, cavity, tau)
 
 
 def optimal_kappa_t_homodyne(
@@ -166,6 +166,4 @@ def optimal_kappa_t_homodyne(
     kappa_loss, kappa_t is searched, bound hits are flagged.
     """
     check_dispersive(atom, cavity)
-    return max_over_kappa_t(
-        _snr_hom_from_n, dispersive_saturation_pump, atom, cavity, drive.tau, bounds
-    )
+    return max_over_kappa_t(_snr_hom_from_n, atom, cavity, drive.tau, bounds)

@@ -1,12 +1,14 @@
-"""Scalar maximization helpers for smooth, effectively unimodal objectives.
+"""Scalar maximization helpers and the pump and kappa_t optimizers.
 
-golden_max is Brent's method (parabolic steps, golden-section fallback);
-max_on_log_grid scans a log grid and polishes its best point with it.
+golden_max is Brent's method (parabolic steps, golden-section fallback).
 best_pump is the one pump optimizer of both detection schemes, and
 max_over_kappa_t runs golden_max over log kappa_t on it.  A scheme enters
-them as two plain functions: its S from the lower-branch photon number,
-snr(atom, cavity, j, n, tau) for floats and arrays, and its saturation
-pump center(atom, cavity), on which the pump range is centered.
+them as one plain function, its S from the pump rate and the lower-branch
+photon number, snr(atom, cavity, j, n, tau) for floats and arrays.
+best_pump needs no root solve: the pump that holds N photons is explicit,
+e2(N) = N*[(kappa + gamma(N))^2 + (delta_c - U(N))^2] (Gamma-scaled), the
+S-curve of optical bistability (Lugiato, Prog. Opt. 21, 69 (1984)), so it
+maximizes S along the curve's lower branch in N.
 """
 from __future__ import annotations
 
@@ -17,14 +19,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoMaximumInBounds
-from .steady_state import _pump_root, _stationary_pump_scan
+from .steady_state import _BRACKET_ITERS, _bracketed_root, _cubic_coeffs, _residual_scaled, _scaled
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of the larger part
-_GRID_RTOL = 1e-6  # grid points this close to a grid objective's maximum are rescored with f
-_POLISH_RTOL = 1e-8  # the polish's rel_tol in log x: 3e-7 to 5e-7 in ln j, above sqrt(eps)
+_POLISH_RTOL = 1e-8  # the polish's rel_tol in ln(N/N_lo): about 5e-7 in ln N at saturation
 _MAX_ITER = 200  # golden_max's step limit
 _KAPPA_T_RTOL = 1e-4  # golden_max's rel_tol for the kappa_t search, in log kappa_t
-_PUMP_DECADES = 4.0  # width of best_pump's range, centered on the saturation pump
+_N_LOW, _N_DECADES = 1e-10, 16  # best_pump's N: 1e-10 to 1e6 saturation photon numbers
+_PER_DECADE = 20  # best_pump's scan points per decade of N
 
 
 def golden_max(f, lo: float, hi: float, rel_tol: float):
@@ -104,61 +106,33 @@ def _brent(f, a: float, b: float, x: float, fx: float, rel_tol: float):
     return x, fx
 
 
-def max_on_log_grid(f, lo: float, hi: float, per_decade: int, f_grid=None):
-    """Grid-then-polish maximization of f over a log-spaced range.
+def _folds(g2, kap, da, dc):
+    """The folds N_a < N_b of the Gamma-scaled S-curve e2(N), the positive roots of de2/dN.
 
-    Scans a grid of per_decade points per decade, then polishes by Brent's
-    method (golden_max's search) in log x within one grid step of the best
-    point, starting at that point with its value.  The polish stops at a
-    bracket [a, b] in log x _POLISH_RTOL*(|a| + |b|) wide, 3e-7 to 5e-7 in
-    ln j for pump rates of 1e6 to 1e11/s, over which S is flat to rounding.
-    Robust against the mild multimodality that fold points introduce.
-    Returns (x, f(x)).  A range that is not 0 < lo < hi with a finite
-    hi/lo raises NoMaximumInBounds.
-
-    Where the best grid point is lo or hi, f is evaluated once, one polish
-    tolerance inside that end; unless f there is at least f at the end,
-    the end is returned without a polish, else the polish starts there.  A
-    maximum inside the end interval is still polished; a returned end only
-    says that f rises towards it, so such an optimum is bounded by the
-    range.
-
-    f_grid, if given, evaluates f over the whole grid array in one call;
-    by default f is mapped over the grid.  A grid objective only has to
-    agree with f to rounding: the best grid point is chosen by f's own
-    values among the points within _GRID_RTOL of the grid maximum, so the
-    result is that of the mapped f wherever f_grid is within _GRID_RTOL/2
-    of f, relative to the maximum.  Only f's values enter the polish.
+    D^3*de2/dN is the cubic Q(N) = p2*b*N^3 + 3*p2*d0*N^2 + (2*p1*d0 - p0*b)*N + p0*d0,
+    D = d0 + b*N, b = 2*g2 and p0 + p1*N + p2*N^2 the pump-free coefficients
+    of _cubic_coeffs.  Only its linear coefficient can be negative and Q is
+    convex for N > 0, so it has two positive roots or none (an empty tuple).
+    Newton's method reaches N_a rising from 0 and N_b falling from -q1/q2,
+    where Q > 0, without overshooting.
     """
-    if not (0.0 < lo < hi and math.isfinite(hi / lo)):
-        raise NoMaximumInBounds(f"invalid log range [{lo}, {hi}]")
-    decades = math.log10(hi / lo)
-    n = max(2, int(round(per_decade * decades)) + 1)
-    grid = np.logspace(math.log10(lo), math.log10(hi), n)
-    top = np.arange(n)
-    if f_grid is not None:
-        approx = f_grid(grid)
-        if np.all(np.isfinite(approx)):
-            top = np.flatnonzero(approx >= approx.max() - _GRID_RTOL * abs(approx.max()))
-    vals = np.array([f(x) for x in grid[top]])
-    k = int(np.argmax(vals))
-    i, f_i = int(top[k]), float(vals[k])
-    a = math.log(grid[max(i - 1, 0)])
-    b = math.log(grid[min(i + 1, n - 1)])
-    if b <= a:
-        return float(grid[i]), f_i
-    polish = lambda u: f(math.exp(u))
-    start, f_start = math.log(grid[i]), f_i
-    if i in (0, n - 1):
-        # a range end: polish only if f does not fall one tolerance inside it
-        inside = _POLISH_RTOL * (abs(a) + abs(b))
-        start = a + inside if i == 0 else b - inside
-        f_start = polish(start)
-        if not f_start >= f_i:
-            return float(grid[i]), f_i
-    x_log, fx = _brent(polish, a, b, start, f_start, _POLISH_RTOL)
-    # a polish that found no better point returns the grid point itself
-    return (float(grid[i]), f_i) if x_log == math.log(grid[i]) else (math.exp(x_log), fx)
+    p2, p1, p0, _ = _cubic_coeffs(g2, 0.0, kap, da, dc)
+    d0, b = da * da + 1.0, 2.0 * g2
+    q3, q2, q1, q0 = p2 * b, 3.0 * p2 * d0, 2.0 * p1 * d0 - p0 * b, p0 * d0
+    cubic = lambda n: ((q3 * n + q2) * n + q1) * n + q0
+    # no root where Q is positive at its minimum over N > 0, where Q' = 0
+    if q1 >= 0.0 or cubic(-q1 / (q2 + math.sqrt(q2 * q2 - 3.0 * q3 * q1))) >= 0.0:
+        return ()
+
+    def newton(n, rising):
+        for _ in range(_BRACKET_ITERS):
+            step = n - cubic(n) / ((3.0 * q3 * n + 2.0 * q2) * n + q1)
+            if (step <= n) if rising else (step >= n):
+                break
+            n = step
+        return n
+
+    return newton(0.0, True), newton(-q1 / q2, False)
 
 
 class PumpOptimum(NamedTuple):
@@ -168,32 +142,59 @@ class PumpOptimum(NamedTuple):
     snr: float
 
 
-def best_pump(snr, center, atom, cavity, tau: float, per_decade: int = 61) -> PumpOptimum:
-    """The best pump rate of one detection scheme and its S.
+def best_pump(snr, atom, cavity, tau: float) -> PumpOptimum:
+    """The best pump rate of one detection scheme and its S, without a root solve.
 
     snr(atom, cavity, j, n, tau) is the scheme's S at pump rate j and
-    lower-branch photon number n at g_max, for floats and for arrays;
-    center(atom, cavity) is its saturation pump.  The log grid,
-    _PUMP_DECADES wide and centered on that pump, is solved in one batched
-    call (_stationary_pump_scan), and max_on_log_grid polishes its best
-    point on the scalar lower root (_pump_root), the root and snr its
-    report takes, so S is the report's S at j_in.  An optimum at an end of
-    the range is bounded by _PUMP_DECADES and not flagged.  Without coupling
-    (g_max = 0) S is 0 at every pump rate, which raises NoMaximumInBounds.
+    lower-branch photon number n at g_max, for floats and arrays.  Both are
+    explicit along j(N) = e2(N)*Gamma^2/kappa_t, so S is scanned over
+    _N_DECADES decades of N up from _N_LOW times the saturation photon
+    number (delta_a^2 + Gamma^2)/(2*g^2), _PER_DECADE points per decade.
+    The scan keeps the lower branch, N <= N_a or N >= N*, where N_a < N_b
+    are the folds (_folds) and N* > N_b holds the pump e2(N_a).  Brent's
+    method polishes its best point in t = ln(N/N_lo), from N_lo the range's
+    low end, within one scan step and the branch, to a bracket
+    _POLISH_RTOL*(|a| + |b|) wide.  Every point it scores lies inside a
+    piece of the branch, so the lower root at the returned j_in is its N,
+    and S is the report's S there.  An optimum at an end of the N range,
+    or g_max = 0 (S is 0 at every pump rate), raises NoMaximumInBounds.
+
+    On strongly coupled cavities the optimum lies inside the bistable
+    window, where the semiclassical model is least trustworthy: on a
+    g = 12 MHz, kappa_t = kappa_loss = 0.59 MHz cavity it is S 616.5 at
+    338 times the saturation pump, where the master equation gives S 51.
     """
     if cavity.g_max == 0:
         raise NoMaximumInBounds("S is 0 at every pump rate when g_max = 0")
-    j_sat = center(atom, cavity)
-    lo, hi = j_sat * 10.0 ** (-0.5 * _PUMP_DECADES), j_sat * 10.0 ** (0.5 * _PUMP_DECADES)
-    return PumpOptimum(
-        *max_on_log_grid(
-            lambda j: float(snr(atom, cavity, j, _pump_root(atom, cavity, j), tau)),
-            lo,
-            hi,
-            per_decade=per_decade,
-            f_grid=lambda j: snr(atom, cavity, j, _stationary_pump_scan(atom, cavity, j), tau),
-        )
-    )
+    g2, _, kap, da, dc = _scaled(atom, cavity, cavity.g_max, 0.0)
+    n_lo = _N_LOW * (da * da + 1.0) / (2.0 * g2)
+    u = np.linspace(0.0, _N_DECADES * math.log(10.0), _N_DECADES * _PER_DECADE + 1)
+    n_a = n_star = math.inf
+    if folds := _folds(g2, kap, da, dc):
+        n_a, n_b = folds
+        e2_a = _residual_scaled(n_a, g2, 0.0, kap, da, dc)[0]
+        cap = e2_a / (kap * kap)
+        n_star = _bracketed_root(n_b, cap, cap, g2, e2_a, kap, da, dc)
+    to_pump = atom.gamma**2 / cavity.kappa_t
+    pump = lambda n: _residual_scaled(n, g2, 0.0, kap, da, dc)[0] * to_pump  # j(N)
+    n = n_lo * np.exp(u)
+    s = snr(atom, cavity, pump(n), n, tau)
+    i = int(np.argmax(np.where(((n <= n_a) | (n >= n_star)) & (s == s), s, -np.inf)))
+    if i in (0, u.size - 1):
+        end = "high" if i else "low"
+        raise NoMaximumInBounds(f"S rises towards the {end} end of the photon-number range")
+    a, b = float(u[i - 1]), float(u[i + 1])
+    if n[i] <= n_a:
+        b = min(b, math.log(n_a / n_lo))
+    else:
+        a = max(a, math.log(n_star / n_lo))
+
+    def polish(t):
+        n_t = n_lo * math.exp(t)
+        return float(snr(atom, cavity, pump(n_t), n_t, tau))
+
+    t, s_best = _brent(polish, a, b, float(u[i]), polish(float(u[i])), _POLISH_RTOL)
+    return PumpOptimum(pump(n_lo * math.exp(t)), s_best)
 
 
 @dataclass(frozen=True)
@@ -205,17 +206,15 @@ class KappaTOptimum:
     at_upper_bound: bool
 
 
-def max_over_kappa_t(snr, center, atom, cavity, tau: float, bounds=None) -> KappaTOptimum:
+def max_over_kappa_t(snr, atom, cavity, tau: float, bounds=None) -> KappaTOptimum:
     """Mirror transmission maximizing a scheme's pump-optimized SNR.
 
-    snr and center are the scheme's, as in best_pump.  cavity supplies g_max
-    and kappa_loss; its kappa_t is ignored and searched over in log space by
+    snr is the scheme's, as in best_pump.  cavity supplies g_max and
+    kappa_loss; its kappa_t is ignored and searched over in log space by
     golden_max (Brent's method, down to a bracket _KAPPA_T_RTOL*(|a| + |b|)
-    wide in log kappa_t), on a 31-per-decade pump grid.  The returned j_in
-    and S are those of the search's own pump optimum at the returned
-    kappa_t, which is polished to the same tolerance as best_pump's
-    61-per-decade one; no pump is re-solved.  Default bounds span
-    [kappa_loss/20, 5*kappa_loss]; explicit bounds are required when
+    wide in log kappa_t) on best_pump.  The returned j_in and S are those of
+    the search's own pump optimum at the returned kappa_t.  Default bounds
+    span [kappa_loss/20, 5*kappa_loss]; explicit bounds are required when
     kappa_loss = 0.  Results landing at a bound are flagged, not raised.
     """
     if bounds is None:
@@ -230,7 +229,7 @@ def max_over_kappa_t(snr, center, atom, cavity, tau: float, bounds=None) -> Kapp
 
     def objective(log_kt):
         trial = replace(cavity, kappa_t=math.exp(log_kt))
-        optima[log_kt] = best_pump(snr, center, atom, trial, tau, per_decade=31)
+        optima[log_kt] = best_pump(snr, atom, trial, tau)
         return optima[log_kt].snr
 
     log_kt, _ = golden_max(objective, math.log(lo), math.log(hi), rel_tol=_KAPPA_T_RTOL)

@@ -394,28 +394,6 @@ def empty_cavity_state(cavity: CavityParams, drive: DriveParams) -> StationarySt
     )
 
 
-def _stationary_pump_scan(
-    atom: AtomParams, cavity: CavityParams, j_values: np.ndarray
-) -> np.ndarray:
-    """Lower-branch photon number at g_max for an array of pump rates (vectorized).
-
-    Every element passes the root test |f| <= 1e-12*eta^2.  Where the
-    stationary cubic may have more than one positive root, or Newton does
-    not converge, it is the photon number of solve_stationary at that pump
-    rate.
-    """
-    return _lower_branch(*_scaled(atom, cavity, cavity.g_max, np.asarray(j_values, dtype=float)))
-
-
-def _pump_root(atom: AtomParams, cavity: CavityParams, j_in: float) -> float:
-    """solve_stationary(...).n_photons at g_max and pump rate j_in, without building the state.
-
-    The scalar counterpart of _stationary_pump_scan: the lower root of
-    _roots_scaled, to the last bit.
-    """
-    return _roots_scaled(*_scaled(atom, cavity, cavity.g_max, j_in))[0]
-
-
 def stationary_scan(
     atom: AtomParams, cavity: CavityParams, drive: DriveParams, g_values: np.ndarray
 ) -> np.ndarray:

@@ -10,7 +10,7 @@ PACKAGE = Path(cavdet.__file__).resolve().parent
 
 # defaulted parameters of the functions in src/cavdet; options only tests
 # set are removed, so this number only goes down
-MAX_DEFAULTED_PARAMETERS = 15
+MAX_DEFAULTED_PARAMETERS = 13
 
 
 def test_all_is_every_public_name():
@@ -42,20 +42,15 @@ def _parameters(fn):
 
 
 def test_optimizer_signatures_are_pinned():
-    # where a polish starts and when it stops are the optimizer's own
-    # decisions, not options
+    # where a polish starts and when it stops, and the photon-number range
+    # the pump optimizer scans, are the optimizer's own decisions, not options
     empty = inspect.Parameter.empty
     assert _parameters(optimize.golden_max) == [
         ("f", empty), ("lo", empty), ("hi", empty), ("rel_tol", empty)
     ]
-    assert _parameters(optimize.max_on_log_grid) == [
-        ("f", empty), ("lo", empty), ("hi", empty), ("per_decade", empty), ("f_grid", None)
-    ]
     assert _parameters(optimize.best_pump) == [
-        ("snr", empty), ("center", empty), ("atom", empty), ("cavity", empty), ("tau", empty),
-        ("per_decade", 61),
+        ("snr", empty), ("atom", empty), ("cavity", empty), ("tau", empty)
     ]
     assert _parameters(optimize.max_over_kappa_t) == [
-        ("snr", empty), ("center", empty), ("atom", empty), ("cavity", empty), ("tau", empty),
-        ("bounds", None),
+        ("snr", empty), ("atom", empty), ("cavity", empty), ("tau", empty), ("bounds", None)
     ]

@@ -872,6 +872,12 @@ _OUT_OF_RANGE = [
          None, "--n-core")
         for n_core in ("0", "nan", "1e-320")
     ),
+    # and by the wavelength: a non-finite fiber_length named in its place
+    *(
+        (["design-cavity", "--core-um", "5", "--length-half-waves", "40000", "--lambda-nm", lam],
+         None, "--lambda-nm")
+        for lam in ("nan", "inf", "0")
+    ),
 ]
 
 

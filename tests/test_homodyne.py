@@ -1,6 +1,7 @@
 """Dispersive (homodyne) detection: pins, limits, phase conventions."""
 import math
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -174,3 +175,14 @@ def test_optimal_kappa_t_homodyne_matches_loss(atom200, narrow_cavity):
             kappa_loss=narrow_cavity.kappa_loss,
         )
         assert max_snr_hom_over_pump(atom200, cavity, TAU)[1] <= opt.snr
+
+
+@pytest.mark.parametrize("asymmetric", [False, True])
+def test_snr_hom_is_zero_without_coupling(atom200, narrow_cavity, asymmetric):
+    # an uncoupled atom: N_out is N_out,0 to the bit, the intensity report's
+    # g = 0 rule, not the solver's root rounded apart from it; S is 0
+    cavity = replace(narrow_cavity, g_max=0.0, asymmetric_input=asymmetric)
+    for j in (1e5, 3e6, 2e8):
+        rep = homodyne_report(atom200, cavity, DriveParams(j, TAU))
+        assert rep.n_out == rep.n_out_empty
+        assert rep.snr == 0.0 and rep.phase_shift == 0.0

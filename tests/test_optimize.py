@@ -1,12 +1,12 @@
-"""Scalar maximization helpers."""
+"""Scalar maximization helpers, and best_pump's scan and polish on synthetic S(N)."""
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cavdet import NoMaximumInBounds
-from cavdet.optimize import _POLISH_RTOL, golden_max, max_on_log_grid
+from cavdet import MHZ, US, AtomParams, CavityParams, NoMaximumInBounds, optimize
+from cavdet.optimize import _POLISH_RTOL, golden_max
 
 
 def test_golden_max_quadratic():
@@ -25,16 +25,6 @@ def test_golden_max_rejects_bad_bracket():
         golden_max(lambda x: x, 2.0, 1.0, rel_tol=1e-6)
     with pytest.raises(NoMaximumInBounds):
         golden_max(lambda x: float("nan"), 0.0, 1.0, rel_tol=1e-6)
-
-
-def test_max_on_log_grid_polishes():
-    f = lambda x: -(math.log10(x) - 1.3) ** 2
-    x, fx = max_on_log_grid(f, 1.0, 1e3, per_decade=11)
-    assert x == pytest.approx(10**1.3, rel=1e-3)
-    assert fx <= 0.0
-    # monotone edge case lands at the boundary
-    x_edge, _ = max_on_log_grid(lambda x: x, 1.0, 100.0, per_decade=11)
-    assert x_edge == pytest.approx(100.0, rel=1e-6)
 
 
 def test_golden_max_quadratic_in_few_evaluations():
@@ -70,45 +60,37 @@ def test_golden_max_treats_nan_as_worst():
         golden_max(lambda x: float("nan"), 0.0, 1.0, rel_tol=1e-10)
 
 
-def _counted(f):
-    calls = []
+# best_pump on a synthetic S(N) over a cavity without folds, as a function
+# of t = ln(N/N_lo) on its grid
+ATOM = AtomParams()
+MAIN = CavityParams(g_max=12 * MHZ, kappa_t=3 * MHZ, kappa_loss=6 * MHZ)
+N_LO = optimize._N_LOW * ATOM.gamma**2 / (2.0 * MAIN.g_max**2)
+SPAN = optimize._N_DECADES * math.log(10.0)
+STEP = SPAN / (optimize._N_DECADES * optimize._PER_DECADE)
 
-    def g(x):
-        calls.append(x)
-        return f(x)
 
-    return g, calls
+def _best_pump_on(f):
+    """best_pump's (t, S) for S = f(t); t is where its returned S was scored."""
+    scored = {}
 
+    def snr(atom, cavity, j, n, tau):
+        t = np.log(n / N_LO)
+        value = f(t)
+        if not isinstance(n, np.ndarray):
+            scored[float(value)] = t
+        return value
 
-@pytest.mark.parametrize("peak", [1.97, 0.03])
-def test_max_on_log_grid_polishes_a_maximum_inside_an_end_interval(peak):
-    # 11 points per decade on [1, 100]: the grid's best point is the end
-    # nearest the peak, and the peak lies inside that end's grid interval
-    f = lambda x: -((math.log10(x) - peak) ** 2)
-    grid = np.logspace(0.0, 2.0, 23)
-    assert int(np.argmax([f(x) for x in grid])) in (0, len(grid) - 1)
-    x, fx = max_on_log_grid(f, 1.0, 100.0, per_decade=11)
-    assert x == pytest.approx(10**peak, rel=1e-8)
-    assert fx == f(x)
+    _, s = optimize.best_pump(snr, ATOM, MAIN, 10 * US)
+    return scored[s], s
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_max_on_log_grid_returns_a_range_end_after_one_probe(sign):
-    # a monotone f: the end itself, with one evaluation beyond the grid
-    f, calls = _counted(lambda x: sign * x)
-    x, fx = max_on_log_grid(f, 1.0, 100.0, per_decade=11)
-    end = 100.0 if sign > 0 else 1.0
-    assert x == end and fx == sign * end
-    assert len(calls) == 23 + 1
-
-
-@pytest.mark.parametrize(
-    "lo, hi",
-    [(1.0, math.inf), (math.nan, 10.0), (1.0, math.nan), (-math.inf, 10.0), (1e-300, 1e300)],
-)
-def test_max_on_log_grid_rejects_a_non_finite_range(lo, hi):
-    with pytest.raises(NoMaximumInBounds):
-        max_on_log_grid(lambda x: x, lo, hi, per_decade=11)
+def test_best_pump_names_a_range_end(sign):
+    # a monotone S: the optimum is an end of the photon-number range, and
+    # the error names that end instead of returning it
+    end = "high" if sign > 0 else "low"
+    with pytest.raises(NoMaximumInBounds, match=f"towards the {end} end of the photon-number"):
+        _best_pump_on(lambda t: sign * t)
 
 
 # rounding: where a few evaluations of f agree to this many ulps of the
@@ -128,42 +110,27 @@ PEAKS = {
 @settings(max_examples=300, deadline=None)
 @given(
     shape=st.sampled_from(sorted(PEAKS)),
-    log_lo=st.floats(min_value=-3.0, max_value=9.0),
-    decades=st.floats(min_value=1.0, max_value=4.0),
-    per_decade=st.integers(min_value=5, max_value=61),
-    place=st.sampled_from(["anywhere", "lo end interval", "hi end interval"]),
     where=st.floats(min_value=0.0, max_value=1.0),
-    width=st.floats(min_value=0.05, max_value=3.0),
+    width=st.floats(min_value=0.1, max_value=3.0),
     height=st.one_of(st.just(0.0), st.floats(min_value=-1e3, max_value=1e3)),
     curvature=st.floats(min_value=1e-6, max_value=1e3),
-    batched=st.booleans(),
 )
-# a flat top high above zero, midway between two grid points (244 intervals)
-@example("quartic (flat top)", 5.0, 4.0, 61, "anywhere", 90.5 / 244, 0.5, 300.0, 1e-3, True)
-# a peak inside the top end interval, where the polish starts one probe inside
-@example("asymmetric", 6.0, 4.0, 31, "hi end interval", 0.4, 0.3, 50.0, 0.01, False)
-def test_started_polish_finds_a_single_peak(
-    shape, log_lo, decades, per_decade, place, where, width, height, curvature, batched
-):
-    # the polish starts at the best grid point: it still ends within its
-    # tolerance of the peak, or where f is flat to rounding, and no point
-    # of a dense grid is better by more than f falls within that tolerance
-    # and rounding
-    lo, hi = 10.0**log_lo, 10.0 ** (log_lo + decades)
-    a, b = math.log(lo), math.log(hi)
-    step = (b - a) / max(1, round(per_decade * decades))
-    peak = {
-        "anywhere": a + where * (b - a),
-        "lo end interval": a + where * step,
-        "hi end interval": b - where * step,
-    }[place]
+# a flat top high above zero, midway between two grid points
+@example("quartic (flat top)", 159.5 / 318, 0.5, 300.0, 1e-3)
+# a peak at the last grid point inside the range
+@example("asymmetric", 1.0, 0.3, 50.0, 0.01)
+def test_started_polish_finds_a_single_peak(shape, where, width, height, curvature):
+    # best_pump's polish starts at the best point of its N grid: it still
+    # ends within its tolerance of the peak, or where S is flat to rounding,
+    # and no point of a dense grid is better by more than S falls within
+    # that tolerance and rounding
+    peak = STEP + where * (SPAN - 2.0 * STEP)
     bump, flat = PEAKS[shape]
-    f_array = lambda x: height - curvature * bump((np.log(x) - peak) / width)
-    f = lambda x: float(f_array(np.float64(x)))
-    x, fx = max_on_log_grid(f, lo, hi, per_decade, f_grid=f_array if batched else None)
+    f = lambda t: height - curvature * bump((t - peak) / width)
+    x, fx = _best_pump_on(f)
     assert fx == f(x)
-    bracket = _POLISH_RTOL * 2.0 * (abs(peak) + 2.0 * step)
-    assert abs(math.log(x) - peak) <= bracket + width * flat(ROUNDING * abs(height) / curvature)
+    bracket = _POLISH_RTOL * 2.0 * (abs(peak) + 2.0 * STEP)
+    assert abs(x - peak) <= bracket + width * flat(ROUNDING * abs(height) / curvature)
     fall = curvature * max(bump(bracket / width), bump(-bracket / width))
-    dense = np.logspace(math.log10(lo), math.log10(hi), 20001)
-    assert fx >= f_array(dense).max() - fall - ROUNDING * (abs(height) + curvature)
+    dense = np.linspace(0.0, SPAN, 20001)
+    assert fx >= f(dense).max() - fall - ROUNDING * (abs(height) + curvature)

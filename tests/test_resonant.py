@@ -26,6 +26,7 @@ from cavdet import (
     snr_resonant,
     snr_strong_limit,
     snr_weak_limit,
+    stationary_photon_numbers,
 )
 from cavdet import resonant_detection, steady_state
 
@@ -236,10 +237,10 @@ def test_snr_is_zero_without_coupling(atom, main_cavity, asymmetric):
         replace(main_cavity, g_max=0.0, asymmetric_input=asymmetric),
         replace(main_cavity, g_max=0.0, asymmetric_input=asymmetric, delta_c=0.7 * MHZ),
     ):
-        n = steady_state._stationary_pump_scan(atom, cavity, j)
+        n = steady_state._lower_branch(*steady_state._scaled(atom, cavity, cavity.g_max, j))
         assert resonant_detection._snr_from_n(atom, cavity, j, n, TAU).tolist() == [0.0] * j.size
         for x in j.tolist():
             rep = intensity_report(atom, cavity, DriveParams(x, TAU))
             assert rep.snr == 0.0 and rep.n_out_atom == rep.n_out_empty
-            n = steady_state._pump_root(atom, cavity, x)
+            n = stationary_photon_numbers(atom, cavity, DriveParams(x, TAU))[0]
             assert resonant_detection._snr_from_n(atom, cavity, x, n, TAU) == rep.snr

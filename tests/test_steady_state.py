@@ -32,7 +32,7 @@ from cavdet import (
     stationary_scan,
 )
 from cavdet import homodyne_detection, resonant_detection, steady_state
-from cavdet.steady_state import _cubic_coeffs, _may_be_bistable, _stationary_pump_scan
+from cavdet.steady_state import _cubic_coeffs, _lower_branch, _may_be_bistable, _scaled
 
 
 def residual(n, atom, cavity, drive, g):
@@ -353,7 +353,7 @@ def test_batched_lower_branch_is_the_scalar_lower_root(case):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         check(stationary_scan(atom, cavity, drive, g_values), g_values, j)
-        check(_stationary_pump_scan(atom, cavity, j_values), cavity.g_max, j_values)
+        check(_lower_branch(*_scaled(atom, cavity, cavity.g_max, j_values)), cavity.g_max, j_values)
         # warm-started along the coupling grid, as the transit stepper does
         g2 = (g_values / gam) ** 2
         e2 = j * cavity.kappa_t / gam**2
@@ -395,7 +395,7 @@ def test_cold_start_leaves_only_screened_elements_to_the_scalar_solver(case):
         warnings.simplefilter("ignore")
         mp.setattr(steady_state, "_roots_scaled", spy)
         stationary_scan(atom, cavity, drive, np.linspace(0.0, cavity.g_max, 64))
-        _stationary_pump_scan(atom, cavity, j * np.logspace(-2, 0, 33))
+        _lower_branch(*_scaled(atom, cavity, cavity.g_max, j * np.logspace(-2, 0, 33)))
     assert all(_may_be_bistable(*args) for args in handed)
 
 
@@ -461,13 +461,13 @@ def test_pump_objectives_are_the_reports_snr(case, asymmetric):
         warnings.simplefilter("ignore")
         resonant = AtomParams(delta_a=da * MHZ)
         expected = intensity_report(resonant, cavity, drive).snr
-        n = steady_state._pump_root(resonant, cavity, j)
+        n = stationary_photon_numbers(resonant, cavity, drive)[0]
         assert resonant_detection._snr_from_n(resonant, cavity, j, n, drive.tau) == expected
         # homodyne detection pumps on the cavity line, with the atom detuned
         dispersive = AtomParams(delta_a=(da if abs(da) > 1e-6 else 1.0) * MHZ)
         on_line = replace(cavity, delta_c=0.0)
         expected = homodyne_report(dispersive, on_line, drive).snr
-        n = steady_state._pump_root(dispersive, on_line, j)
+        n = stationary_photon_numbers(dispersive, on_line, drive)[0]
         assert homodyne_detection._snr_hom_from_n(dispersive, on_line, j, n, drive.tau) == expected
 
 
@@ -485,13 +485,15 @@ def _reports_from_states(resonant, dispersive, cavity, on_line, drive):
         saturation=2.0 * cavity.g_max * cavity.g_max * state.n_photons / resonant.gamma**2,
     )
     state = solve_stationary(dispersive, on_line, drive)
-    n_out = output_photons(state, on_line, drive)
+    n_out_empty = output_photons(empty_cavity_state(on_line, drive), on_line, drive)
+    # the same g = 0 rule as the intensity report's
+    n_out = n_out_empty if on_line.g_max == 0 else output_photons(state, on_line, drive)
     phi, snr = homodyne_detection._phase_and_snr(state.light_shift, on_line.kappa, n_out)
     homodyne = HomodyneReport(
         phase_shift=phi,
         snr=float(snr),
         n_out=n_out,
-        n_out_empty=output_photons(empty_cavity_state(on_line, drive), on_line, drive),
+        n_out_empty=n_out_empty,
         m_scattered=2.0 * dispersive.gamma * drive.tau * state.rho11,
         small_angle_valid=abs(phi) < homodyne_detection.SMALL_ANGLE_MAX,
     )

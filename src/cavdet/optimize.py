@@ -156,8 +156,12 @@ def best_pump(snr, atom, cavity, tau: float) -> PumpOptimum:
     low end, within one scan step and the branch, to a bracket
     _POLISH_RTOL*(|a| + |b|) wide.  Every point it scores lies inside a
     piece of the branch, so the lower root at the returned j_in is its N,
-    and S is the report's S there.  An optimum at an end of the N range,
-    or g_max = 0 (S is 0 at every pump rate), raises NoMaximumInBounds.
+    and S is the report's S there.  Where the best scan point is an end of
+    the N range, S is scored once, one polish tolerance inside it: unless
+    S there is at least S at the end, NoMaximumInBounds names the end, else
+    the polish starts there, so a maximum inside an end's scan step is
+    still found.  g_max = 0 (S is 0 at every pump rate), or a g_max so
+    small that the N range is not finite, raises it too.
 
     On strongly coupled cavities the optimum lies inside the bistable
     window, where the semiclassical model is least trustworthy: on a
@@ -167,7 +171,9 @@ def best_pump(snr, atom, cavity, tau: float) -> PumpOptimum:
     if cavity.g_max == 0:
         raise NoMaximumInBounds("S is 0 at every pump rate when g_max = 0")
     g2, _, kap, da, dc = _scaled(atom, cavity, cavity.g_max, 0.0)
-    n_lo = _N_LOW * (da * da + 1.0) / (2.0 * g2)
+    n_lo = _N_LOW * (da * da + 1.0) / (2.0 * g2) if g2 > 0 else math.inf
+    if not math.isfinite(n_lo * 10.0**_N_DECADES):
+        raise NoMaximumInBounds(f"the photon-number range from {n_lo:.6g} is not finite")
     u = np.linspace(0.0, _N_DECADES * math.log(10.0), _N_DECADES * _PER_DECADE + 1)
     n_a = n_star = math.inf
     if folds := _folds(g2, kap, da, dc):
@@ -180,10 +186,7 @@ def best_pump(snr, atom, cavity, tau: float) -> PumpOptimum:
     n = n_lo * np.exp(u)
     s = snr(atom, cavity, pump(n), n, tau)
     i = int(np.argmax(np.where(((n <= n_a) | (n >= n_star)) & (s == s), s, -np.inf)))
-    if i in (0, u.size - 1):
-        end = "high" if i else "low"
-        raise NoMaximumInBounds(f"S rises towards the {end} end of the photon-number range")
-    a, b = float(u[i - 1]), float(u[i + 1])
+    a, b = float(u[max(i - 1, 0)]), float(u[min(i + 1, u.size - 1)])
     if n[i] <= n_a:
         b = min(b, math.log(n_a / n_lo))
     else:
@@ -193,7 +196,17 @@ def best_pump(snr, atom, cavity, tau: float) -> PumpOptimum:
         n_t = n_lo * math.exp(t)
         return float(snr(atom, cavity, pump(n_t), n_t, tau))
 
-    t, s_best = _brent(polish, a, b, float(u[i]), polish(float(u[i])), _POLISH_RTOL)
+    start = float(u[i])
+    s_start = polish(start)
+    if i in (0, u.size - 1):
+        # a range end: polish only if S does not fall one tolerance inside it
+        inside = _POLISH_RTOL * (abs(a) + abs(b))
+        start = a + inside if i == 0 else b - inside
+        s_end, s_start = s_start, polish(start)
+        if not s_start >= s_end:
+            end = "high" if i else "low"
+            raise NoMaximumInBounds(f"S rises towards the {end} end of the photon-number range")
+    t, s_best = _brent(polish, a, b, start, s_start, _POLISH_RTOL)
     return PumpOptimum(pump(n_lo * math.exp(t)), s_best)
 
 

@@ -93,6 +93,34 @@ def test_best_pump_names_a_range_end(sign):
         _best_pump_on(lambda t: sign * t)
 
 
+def test_max_on_log_grid_polishes():
+    # best_pump's log-N scan is polished far below its step: a peak 8.33
+    # decades above N_lo, 0.4 scan steps from the nearest scan point
+    peak = 8.33 * math.log(10.0)
+    f = lambda t: -((t - peak) ** 2)
+    x, fx = _best_pump_on(f)
+    assert abs(x - peak) <= _POLISH_RTOL * 2.0 * (peak + 2.0 * STEP)
+    assert fx <= 0.0 and fx == f(x)
+    # a monotone S names the end it rises towards instead of returning it
+    with pytest.raises(NoMaximumInBounds):
+        _best_pump_on(lambda t: t)
+
+
+@pytest.mark.parametrize("peak", [1.97, 0.03])
+def test_max_on_log_grid_polishes_a_maximum_inside_an_end_interval(peak):
+    # a peak 0.03 scan steps inside the low end of the N range (0.03) or
+    # inside its high end (1.97 = 2 - 0.03): the scan's best point is that
+    # end, and the peak lies inside the end's scan step
+    offset = min(peak, 2.0 - peak) * STEP
+    t_peak = offset if peak < 1.0 else SPAN - offset
+    f = lambda t: -((t - t_peak) ** 2)
+    grid = np.linspace(0.0, SPAN, optimize._N_DECADES * optimize._PER_DECADE + 1)
+    assert int(np.argmax(f(grid))) in (0, grid.size - 1)
+    x, fx = _best_pump_on(f)
+    assert abs(x - t_peak) <= _POLISH_RTOL * 2.0 * (t_peak + 2.0 * STEP)
+    assert fx == f(x)
+
+
 # rounding: where a few evaluations of f agree to this many ulps of the
 # peak's value, Brent's method cannot tell them apart
 ROUNDING = 64 * np.finfo(float).eps

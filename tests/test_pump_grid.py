@@ -287,6 +287,32 @@ def test_pump_optimizers_without_coupling_have_no_maximum(main_cavity):
             call()
 
 
+@pytest.mark.parametrize("g_max", [1e-150, 1e-200])
+def test_pump_optimizers_reject_a_non_finite_photon_number_range(main_cavity, g_max):
+    # the N range's high end overflows (1e-150), or g^2 underflows to 0 and
+    # its low end is infinite (1e-200, a ZeroDivisionError before)
+    weak = replace(main_cavity, g_max=g_max)
+    for atom, maximize in ((ATOM_RESONANT, max_snr_over_pump), (ATOM_DISPERSIVE, max_snr_hom_over_pump)):
+        with pytest.raises(NoMaximumInBounds, match="photon-number range from .* is not finite"):
+            maximize(atom, weak, TAU)
+
+
+def test_max_on_log_grid_reports_f_at_the_grid_point(main_cavity, narrow_cavity):
+    # best_pump's batched scan of S only has to agree with the scalar S to
+    # rounding: the polish starts from the scalar S at the best scan point,
+    # and only scalar values of S enter the result
+    for cavity in (main_cavity, narrow_cavity):
+        for atom in (ATOM_RESONANT, ATOM_DISPERSIVE):
+            snr = _snr_from_n(atom)
+
+            def off_by_rounding(*args):
+                s = snr(*args)
+                return s * (1.0 + 1e-14) if isinstance(s, np.ndarray) else s
+
+            expected = _pump_optimum(atom, cavity)
+            assert optimize.best_pump(off_by_rounding, atom, cavity, TAU) == expected
+
+
 # --- the search itself ---------------------------------------------------------
 
 

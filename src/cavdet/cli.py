@@ -3,7 +3,8 @@
 Every output is machine-readable (CSV with # metadata lines, or JSON) and
 byte-identical across runs for a fixed config and seed.
 Exit codes: 0 success, 2 configuration error (including an input outside
-the solver's range), 3 model/domain error or numerical failure.
+the solver's range, a config that cannot be read and an output that cannot
+be written), 3 model/domain error or numerical failure.
 """
 from __future__ import annotations
 
@@ -27,8 +28,8 @@ from .fiber_cavity import FiberCavityDesign, derive, design_to_cavity, v_number
 from .homodyne_detection import dispersive_saturation_pump, homodyne_report
 from .motion import spatial_averages
 from .params import MHZ, UM, US, AtomParams, DriveParams
-from .resonant_detection import output_photons, saturation_pump, snr_resonant
-from .steady_state import empty_cavity_state, solve_stationary
+from .resonant_detection import _detected_photons, _empty_photons, saturation_pump, snr_resonant
+from .steady_state import solve_stationary
 from .trajectory_sim import _check_step, run_ensemble
 
 
@@ -115,23 +116,25 @@ def _cmd_steady(args) -> int:
         )
     g_local = None if args.g_frac is None else args.g_frac * cfg.cavity.g_max
     state = solve_stationary(cfg.atom, cfg.cavity, cfg.drive, g_local=g_local)
-    empty = empty_cavity_state(cfg.cavity, cfg.drive)
+    n_empty = _empty_photons(cfg.cavity, cfg.drive.j_in)
+    tau = cfg.drive.tau
     payload = {
         "version": __version__,
         "config_sha256": cfg.digest,
         "n_photons": state.n_photons,
-        "n_photons_empty": empty.n_photons,
+        "n_photons_empty": n_empty,
         "rho11": state.rho11,
         "gamma_eff_mhz": state.gamma_eff / MHZ,
         "light_shift_mhz": state.light_shift / MHZ,
         "branch_count": state.branch_count,
         "all_roots": list(state.all_roots),
-        "n_out": output_photons(state, cfg.cavity, cfg.drive),
-        "n_out_empty": output_photons(empty, cfg.cavity, cfg.drive),
+        # the detected count at the lower root, with no g = 0 rule (unlike _counts)
+        "n_out": _detected_photons(state.n_photons, cfg.cavity, tau),
+        "n_out_empty": _detected_photons(n_empty, cfg.cavity, tau),
     }
     _write_json(args.out, payload)
     print(
-        f"N={state.n_photons:.6g} with atom vs {empty.n_photons:.6g} empty "
+        f"N={state.n_photons:.6g} with atom vs {n_empty:.6g} empty "
         f"({state.branch_count} branch(es)) -> {args.out}"
     )
     return 0
@@ -487,6 +490,10 @@ def run(argv) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output: load_config raises ConfigError for the config
+        path = exc.filename or args.out  # a failed write to an open file names none
+        print(f"config error: cannot write {path}: {exc.strerror}", file=sys.stderr)
         return 2
     except (NotResonant, NotDispersive) as exc:
         print(f"model/domain error: {exc}", file=sys.stderr)

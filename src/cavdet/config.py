@@ -191,9 +191,13 @@ def parse_config(raw: dict) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     """Read and parse a JSON config file."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:  # a directory, or not readable
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return parse_config(raw)

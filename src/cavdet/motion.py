@@ -9,16 +9,14 @@ the cavity axis is
 largest at field nodes for a strongly coupled cavity, where an atom still
 spoils the resonance without scattering.  Averaging the detection
 quantities over a flat position distribution along the axis gives S_bar,
-M_bar, D_bar and the resulting momentum and position spreads after one
-integration time.
+M_bar, D_bar (the axial mean of D(z)) and the resulting momentum and
+position spreads after one integration time.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import SaturationWarning
 from .params import HBAR, AtomParams, CavityParams, DriveParams, cooperativity
@@ -57,24 +55,6 @@ def _warn_if_saturated(atom, cavity, drive):
             SaturationWarning,
             stacklevel=3,
         )
-
-
-def diffusion_coefficient(
-    atom: AtomParams, cavity: CavityParams, drive: DriveParams, z: float | np.ndarray
-):
-    """Momentum diffusion coefficient D at axial position z (kg^2 m^2/s^3).
-
-    Valid at low saturation with both detunings zero; warns when the
-    antinode saturation exceeds the validity edge.
-    """
-    check_resonant(atom, cavity)
-    _warn_if_saturated(atom, cavity, drive)
-    k = atom.k
-    eta2 = drive.j_in * cavity.kappa_t
-    g2 = cavity.g_max**2
-    denom = atom.gamma * cavity.kappa + g2 * np.cos(k * np.asarray(z)) ** 2
-    d = atom.gamma * (HBAR * k) ** 2 * eta2 * g2 / denom**2
-    return float(d) if np.isscalar(z) else d
 
 
 def spatial_averages(atom: AtomParams, cavity: CavityParams, drive: DriveParams) -> MotionAverages:

@@ -109,8 +109,9 @@ class CavityParams:
 class DriveParams:
     """Pump photon flux j_in (photons/s) and integration time tau (s).
 
-    The pump amplitude eta = sqrt(j_in * kappa_t) is always derived, never
-    stored.
+    The pump amplitude eta = sqrt(j_in * kappa_t) is never stored: the
+    solver takes eta^2 = j_in * kappa_t (steady_state._scaled) and the empty
+    cavity's photon number takes eta (resonant_detection._empty_photons).
     """
 
     j_in: float
@@ -122,11 +123,6 @@ class DriveParams:
             raise ConfigError("drive.j_in must be non-negative")
         if self.tau <= 0:
             raise ConfigError("drive.tau must be positive")
-
-
-def pump_amplitude(drive: DriveParams, cavity: CavityParams) -> float:
-    """Pump rate eta = sqrt(j_in * kappa_t), in rad/s * photons^(1/2)."""
-    return math.sqrt(drive.j_in * cavity.kappa_t)
 
 
 def cooperativity(atom: AtomParams, cavity: CavityParams) -> float:

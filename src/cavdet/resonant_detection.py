@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NotResonant
 from .optimize import KappaTOptimum, PumpOptimum, best_pump, max_over_kappa_t
 from .params import AtomParams, CavityParams, DriveParams, cooperativity
-from .steady_state import StationaryState, _atom_response, stationary_photon_numbers
+from .steady_state import _atom_response, stationary_photon_numbers
 
 # cooperativity bands for tagging which closed-form branch applies
 WEAK_COUPLING_MAX = 0.2
@@ -69,11 +69,6 @@ def check_resonant(atom: AtomParams, cavity: CavityParams) -> None:
         )
 
 
-def output_photons(state: StationaryState, cavity: CavityParams, drive: DriveParams) -> float:
-    """Detected photons N*kappa_t*tau, doubled for an asymmetric input mirror."""
-    return _detected_photons(state.n_photons, cavity, drive.tau)
-
-
 def _detected_rate(n, cavity: CavityParams):
     """Detected photon rate n*kappa_t, doubled for an asymmetric input mirror; floats or arrays."""
     rate = n * cavity.kappa_t
@@ -81,7 +76,7 @@ def _detected_rate(n, cavity: CavityParams):
 
 
 def _detected_photons(n, cavity: CavityParams, tau: float):
-    """output_photons for a photon number n, a float or an array."""
+    """Detected photons n*kappa_t*tau, doubled for an asymmetric input mirror; floats or arrays."""
     return _detected_rate(n, cavity) * tau
 
 
@@ -95,17 +90,22 @@ def _intensity_snr(n_out_empty, n_out_atom):
     return (n_out_empty - n_out_atom) * lit / np.sqrt(n_out_atom + (n_out_atom <= 0))
 
 
+def _empty_photons(cavity: CavityParams, j: float) -> float:
+    """Photon number |eta/(kappa - i*delta_c)|^2 of the empty cavity at pump rate j."""
+    return abs(math.sqrt(j * cavity.kappa_t) / (cavity.kappa - 1j * cavity.delta_c)) ** 2
+
+
 def _counts(cavity: CavityParams, j, n, tau: float):
     """Detected photons (N_out,0, N_out) at pump rate j and photon number n; floats or arrays.
 
-    A float j takes empty_cavity_state's |eta/(kappa - i*delta_c)|^2 to the
-    last bit; numpy's complex division rounds unlike Python's, so an array
-    j takes eta^2/(kappa^2 + delta_c^2).  At g_max = 0 N_out is N_out,0.
+    A float j takes _empty_photons, which steady and the dark stream use;
+    numpy's complex division rounds unlike Python's, so an array j takes
+    eta^2/(kappa^2 + delta_c^2).  At g_max = 0 N_out is N_out,0.
     """
     if isinstance(j, np.ndarray):
         n_empty = j * cavity.kappa_t / (cavity.kappa**2 + cavity.delta_c**2)
     else:
-        n_empty = abs(math.sqrt(j * cavity.kappa_t) / (cavity.kappa - 1j * cavity.delta_c)) ** 2
+        n_empty = _empty_photons(cavity, j)
     n_out_empty = _detected_photons(n_empty, cavity, tau)
     return n_out_empty, n_out_empty if cavity.g_max == 0 else _detected_photons(n, cavity, tau)
 

@@ -1,4 +1,4 @@
-"""Stationary solutions of the driven atom-cavity model, plus a reference integrator.
+"""Stationary solutions of the driven atom-cavity model.
 
 A single pumped cavity mode couples to one two-level atom.  With all rates
 angular and alpha in units of sqrt(photons), the semiclassical equations are
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedRootsWarning, NoPhysicalRoot, StepTooLarge
-from .params import AtomParams, CavityParams, DriveParams, pump_amplitude
+from .errors import IllConditionedRootsWarning, NoPhysicalRoot
+from .params import AtomParams, CavityParams, DriveParams
 
 _MERGE_RTOL = 1e-9  # roots closer than this (relative) are reported as one
 
@@ -45,24 +45,12 @@ class StationaryState:
     root.
     """
 
-    alpha: complex
     n_photons: float
     rho11: float
-    rho01: complex
     gamma_eff: float
     light_shift: float
     branch_count: int
     all_roots: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class BlochTrajectory:
-    """Time series from the transient integrator."""
-
-    times: np.ndarray
-    alpha: np.ndarray
-    rho11: np.ndarray
-    rho01: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -345,26 +333,6 @@ def _atom_response(n, g, atom: AtomParams):
     return d, g * g * atom.gamma / d, g * g * atom.delta_a / d
 
 
-def _state_from_n(n, g, atom, cavity, drive, branch_count, all_roots):
-    gam = atom.gamma
-    d, gamma_eff, light_shift = _atom_response(n, g, atom)
-    eta = pump_amplitude(drive, cavity)
-    denom = (cavity.kappa + gamma_eff) - 1j * (cavity.delta_c - light_shift)
-    alpha = eta / denom
-    rho11 = g * g * n / d
-    rho01 = g * np.conj(alpha) * (1.0 - 2.0 * rho11) / (gam + 1j * atom.delta_a)
-    return StationaryState(
-        alpha=complex(alpha),
-        n_photons=float(n),
-        rho11=float(rho11),
-        rho01=complex(rho01),
-        gamma_eff=float(gamma_eff),
-        light_shift=float(light_shift),
-        branch_count=branch_count,
-        all_roots=all_roots,
-    )
-
-
 def solve_stationary(
     atom: AtomParams, cavity: CavityParams, drive: DriveParams, g_local: float | None = None
 ) -> StationaryState:
@@ -375,22 +343,15 @@ def solve_stationary(
     """
     g = cavity.g_max if g_local is None else g_local
     roots = stationary_photon_numbers(atom, cavity, drive, g_local=g)
-    return _state_from_n(roots[0], g, atom, cavity, drive, len(roots), roots)
-
-
-def empty_cavity_state(cavity: CavityParams, drive: DriveParams) -> StationaryState:
-    """Closed-form stationary state with no atom: alpha = eta/(kappa - i*delta_c)."""
-    alpha = pump_amplitude(drive, cavity) / (cavity.kappa - 1j * cavity.delta_c)
-    n = abs(alpha) ** 2
+    n = roots[0]
+    d, gamma_eff, light_shift = _atom_response(n, g, atom)
     return StationaryState(
-        alpha=complex(alpha),
         n_photons=float(n),
-        rho11=0.0,
-        rho01=0j,
-        gamma_eff=0.0,
-        light_shift=0.0,
-        branch_count=1,
-        all_roots=(float(n),),
+        rho11=float(g * g * n / d),
+        gamma_eff=float(gamma_eff),
+        light_shift=float(light_shift),
+        branch_count=len(roots),
+        all_roots=roots,
     )
 
 
@@ -405,65 +366,3 @@ def stationary_scan(
     coupling.
     """
     return _lower_branch(*_scaled(atom, cavity, np.asarray(g_values, dtype=float), drive.j_in))
-
-
-def integrate_bloch(
-    atom: AtomParams,
-    cavity: CavityParams,
-    drive: DriveParams,
-    g_local: float | None = None,
-    initial=None,
-    t_end: float | None = None,
-    dt: float | None = None,
-) -> BlochTrajectory:
-    """Fixed-step RK4 integration of the coupled field and atom equations.
-
-    initial may be None (empty cavity, ground-state atom), an
-    (alpha, rho11, rho01) triple, or a BlochTrajectory whose last sample
-    seeds the run.  Only rho11 is integrated for the populations, so
-    rho00 + rho11 = 1 holds by construction.
-    """
-    g = cavity.g_max if g_local is None else g_local
-    kap, gam = cavity.kappa, atom.gamma
-    da, dc = atom.delta_a, cavity.delta_c
-    eta = pump_amplitude(drive, cavity)
-    max_rate = max(kap, gam, g, abs(da), abs(dc))
-    if dt is None:
-        dt = 0.02 / max_rate
-    if dt >= 0.1 / max_rate:
-        raise StepTooLarge(f"dt={dt:.3g} s exceeds 0.1/max_rate={0.1 / max_rate:.3g} s")
-    if t_end is None:
-        t_end = 20.0 / min(kap, gam)
-
-    if initial is None:
-        y = np.array([0.0, 0.0, 0.0], dtype=complex)
-    elif isinstance(initial, BlochTrajectory):
-        y = np.array([initial.alpha[-1], initial.rho01[-1], initial.rho11[-1]], dtype=complex)
-    else:
-        alpha0, rho11_0, rho01_0 = initial
-        y = np.array([alpha0, rho01_0, rho11_0], dtype=complex)
-
-    n_steps = max(1, math.ceil(t_end / dt))
-    h = t_end / n_steps
-
-    def deriv(y):
-        al, r01, r11 = y
-        d_al = (1j * dc - kap) * al - g * np.conj(r01) + eta
-        d_r01 = -(gam + 1j * da) * r01 + g * np.conj(al) * (1.0 - 2.0 * r11)
-        d_r11 = -2.0 * gam * r11.real + 2.0 * g * (al * r01).real
-        return np.array([d_al, d_r01, d_r11], dtype=complex)
-
-    out = np.empty((n_steps + 1, 3), dtype=complex)
-    out[0] = y
-    for i in range(n_steps):
-        k1 = deriv(y)
-        k2 = deriv(y + 0.5 * h * k1)
-        k3 = deriv(y + 0.5 * h * k2)
-        k4 = deriv(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = y
-
-    times = np.linspace(0.0, t_end, n_steps + 1)
-    return BlochTrajectory(
-        times=times, alpha=out[:, 0], rho11=out[:, 2].real.copy(), rho01=out[:, 1]
-    )

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import ConfigError, QuasiStaticViolated, StepTooLarge
 from .params import HBAR, K_B, KHZ, AtomParams, CavityParams, DriveParams, US, require_finite
-from .resonant_detection import _detected_rate
-from .steady_state import _lower_branch, _scaled, empty_cavity_state, stationary_scan
+from .resonant_detection import _detected_rate, _empty_photons
+from .steady_state import _lower_branch, _scaled, stationary_scan
 
 PRESENCE_WAISTS = 3.0  # |y| within this many waists counts as "atom present"
 _DIP_SWEEP = (1, 2, 3, 4, 5)  # persistence conventions (in strides) for the dark-rate spread
@@ -506,7 +506,7 @@ def dark_rates(
     threshold events.  Returns (rate, 95% Poisson CI, rate range across
     dip-persistence conventions of 1 to 5 strides).
     """
-    rate0 = _detected_rate(empty_cavity_state(cavity, drive).n_photons, cavity)
+    rate0 = _detected_rate(_empty_photons(cavity, drive.j_in), cavity)
     span_total = sim.dark_windows * sim.window
     rng = _dark_rng(sim.seed)
     n_clicks = rng.poisson(rate0 * span_total)

@@ -1,0 +1,119 @@
+"""Independent references the tests compare the package against.
+
+integrate_bloch integrates the semiclassical equations in the time domain,
+the oracle of the stationary solver.  diffusion_coefficient is the paper's
+momentum diffusion D(z), whose axial mean is motion.spatial_averages'
+D_bar.  empty_photons is the empty cavity's photon number.
+"""
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from cavdet import AtomParams, CavityParams, DriveParams, StepTooLarge
+from cavdet.motion import _warn_if_saturated
+from cavdet.params import HBAR
+from cavdet.resonant_detection import check_resonant
+
+
+def empty_photons(cavity: CavityParams, drive: DriveParams) -> float:
+    """eta^2/(kappa^2 + delta_c^2), the photon number with no atom."""
+    return drive.j_in * cavity.kappa_t / (cavity.kappa**2 + cavity.delta_c**2)
+
+
+@dataclass(frozen=True)
+class BlochTrajectory:
+    """Time series from the transient integrator."""
+
+    times: np.ndarray
+    alpha: np.ndarray
+    rho11: np.ndarray
+    rho01: np.ndarray
+
+
+def integrate_bloch(
+    atom: AtomParams,
+    cavity: CavityParams,
+    drive: DriveParams,
+    g_local: float | None = None,
+    initial=None,
+    t_end: float | None = None,
+    dt: float | None = None,
+) -> BlochTrajectory:
+    """Fixed-step RK4 integration of the coupled field and atom equations.
+
+    With all rates angular and alpha in units of sqrt(photons):
+
+        d(alpha)/dt = (i*delta_c - kappa)*alpha - g*conj(rho01) + eta
+        d(rho01)/dt = -(Gamma + i*delta_a)*rho01 + g*conj(alpha)*(1 - 2*rho11)
+        d(rho11)/dt = -2*Gamma*rho11 + 2*g*Re(alpha*rho01)
+
+    initial may be None (empty cavity, ground-state atom), an
+    (alpha, rho11, rho01) triple, or a BlochTrajectory whose last sample
+    seeds the run.  Only rho11 is integrated for the populations, so
+    rho00 + rho11 = 1 holds by construction.
+    """
+    g = cavity.g_max if g_local is None else g_local
+    kap, gam = cavity.kappa, atom.gamma
+    da, dc = atom.delta_a, cavity.delta_c
+    eta = math.sqrt(drive.j_in * cavity.kappa_t)
+    max_rate = max(kap, gam, g, abs(da), abs(dc))
+    if dt is None:
+        dt = 0.02 / max_rate
+    if dt >= 0.1 / max_rate:
+        raise StepTooLarge(f"dt={dt:.3g} s exceeds 0.1/max_rate={0.1 / max_rate:.3g} s")
+    if t_end is None:
+        t_end = 20.0 / min(kap, gam)
+
+    if initial is None:
+        y = np.array([0.0, 0.0, 0.0], dtype=complex)
+    elif isinstance(initial, BlochTrajectory):
+        y = np.array([initial.alpha[-1], initial.rho01[-1], initial.rho11[-1]], dtype=complex)
+    else:
+        alpha0, rho11_0, rho01_0 = initial
+        y = np.array([alpha0, rho01_0, rho11_0], dtype=complex)
+
+    n_steps = max(1, math.ceil(t_end / dt))
+    h = t_end / n_steps
+
+    def deriv(y):
+        al, r01, r11 = y
+        d_al = (1j * dc - kap) * al - g * np.conj(r01) + eta
+        d_r01 = -(gam + 1j * da) * r01 + g * np.conj(al) * (1.0 - 2.0 * r11)
+        d_r11 = -2.0 * gam * r11.real + 2.0 * g * (al * r01).real
+        return np.array([d_al, d_r01, d_r11], dtype=complex)
+
+    out = np.empty((n_steps + 1, 3), dtype=complex)
+    out[0] = y
+    for i in range(n_steps):
+        k1 = deriv(y)
+        k2 = deriv(y + 0.5 * h * k1)
+        k3 = deriv(y + 0.5 * h * k2)
+        k4 = deriv(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = y
+
+    times = np.linspace(0.0, t_end, n_steps + 1)
+    return BlochTrajectory(
+        times=times, alpha=out[:, 0], rho11=out[:, 2].real.copy(), rho01=out[:, 1]
+    )
+
+
+def diffusion_coefficient(
+    atom: AtomParams, cavity: CavityParams, drive: DriveParams, z: float | np.ndarray
+):
+    """Momentum diffusion coefficient D at axial position z (kg^2 m^2/s^3).
+
+    D(z) = Gamma*(hbar*k)^2*eta^2*g^2 / (Gamma*kappa + g^2*cos^2(k*z))^2,
+    valid at low saturation with both detunings zero; warns as
+    spatial_averages does when the antinode saturation exceeds the
+    validity edge.
+    """
+    check_resonant(atom, cavity)
+    _warn_if_saturated(atom, cavity, drive)
+    k = atom.k
+    eta2 = drive.j_in * cavity.kappa_t
+    g2 = cavity.g_max**2
+    denom = atom.gamma * cavity.kappa + g2 * np.cos(k * np.asarray(z)) ** 2
+    d = atom.gamma * (HBAR * k) ** 2 * eta2 * g2 / denom**2
+    return float(d) if np.isscalar(z) else d

@@ -26,7 +26,6 @@ from cavdet import (
     SimConfig,
     coupling_g,
     homodyne_report,
-    integrate_bloch,
     kappa_gap,
     kappa_t_mirror,
     mode_waist,
@@ -43,6 +42,7 @@ from cavdet import (
 )
 from cavdet import trajectory_sim
 from cavdet.trajectory_sim import _poisson_times
+from oracles import integrate_bloch
 
 TAU = 10 * US
 

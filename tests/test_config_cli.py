@@ -32,6 +32,7 @@ from cavdet import (
     design_to_cavity,
     dispersive_saturation_pump,
     homodyne_report,
+    dark_rates,
     load_config,
     parse_config,
     run_ensemble,
@@ -39,8 +40,9 @@ from cavdet import (
     snr_resonant,
     solve_stationary,
     spatial_averages,
+    stationary_photon_numbers,
 )
-from cavdet import cli
+from cavdet import cli, resonant_detection, trajectory_sim
 from cavdet.cli import _fmt, _pump_grid, run
 from cavdet.config import DEFAULTS, RANGES
 from cavdet.errors import NoPhysicalRoot, StepTooLarge
@@ -258,6 +260,76 @@ def test_cli_missing_config_is_exit_2(tmp_path):
     assert run(["steady", "--config", str(tmp_path / "nope.json"), "--out", "x.json"]) == 2
 
 
+@pytest.mark.parametrize("config, g_frac", [(MAIN, None), (TRANSIT, None), (MAIN, 0.5)])
+def test_cli_steady_is_the_reports_arithmetic(tmp_path, monkeypatch, config, g_frac):
+    # steady's photon numbers and counts are the report's, to the bit, and
+    # the dark stream is lit by the same empty-cavity photon number
+    out = tmp_path / "steady.json"
+    flags = [] if g_frac is None else ["--g-frac", str(g_frac)]
+    assert run(["steady", "--config", config, "--out", str(out), *flags]) == 0
+    payload = json.loads(out.read_text())
+    cfg = load_config(config)
+    cavity = cfg.cavity if g_frac is None else replace(cfg.cavity, g_max=g_frac * cfg.cavity.g_max)
+    assert payload["n_photons"] == stationary_photon_numbers(cfg.atom, cavity, cfg.drive)[0]
+    report = snr_resonant(cfg.atom, cavity, cfg.drive)
+    assert payload["n_out_empty"] == report.n_out_empty
+    assert payload["n_out"] == report.n_out_atom
+    lit = []
+
+    def detected_rate(n, cav):
+        lit.append(n)
+        return resonant_detection._detected_rate(n, cav)
+
+    monkeypatch.setattr(trajectory_sim, "_detected_rate", detected_rate)
+    dark_rates(cfg.cavity, cfg.drive, replace(cfg.sim, dark_windows=10))
+    assert lit == [payload["n_photons_empty"]]
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["steady", "--config", MAIN, "--out", "{tmp}/missing/x.json"], None),
+        (["scan-pump", "--config", MAIN, "--points", "3", "--out", "{tmp}/missing/x.csv"], None),
+        (["homodyne-scan", "--config", NARROW, "--points", "3", "--out", "{tmp}/missing/x.csv"], None),
+        (["motion-averages", "--config", TRANSIT, "--points", "3", "--out", "{tmp}/missing/x.csv"], None),
+        (
+            ["design-cavity", "--core-um", "5", "--length-mm", "10.4", "--mode-index", "13",
+             "--out", "{tmp}/missing/x.json"],
+            None,
+        ),
+        (["simulate", "--config", TRANSIT, "--atoms", "1", "--out", "{tmp}/file.txt/sub"], None),
+        (["simulate", "--config", TRANSIT, "--atoms", "1", "--out", "{tmp}/file.txt"], None),
+        (["steady", "--config", "{tmp}", "--out", "{tmp}/x.json"], "{tmp}"),
+        (["steady", "--config", "{tmp}/latin1.json", "--out", "{tmp}/x.json"], "{tmp}/latin1.json"),
+    ],
+    ids=[
+        "steady-out-dir-missing",
+        "scan-pump-out-dir-missing",
+        "homodyne-scan-out-dir-missing",
+        "motion-averages-out-dir-missing",
+        "design-cavity-out-dir-missing",
+        "simulate-out-under-a-file",
+        "simulate-out-is-a-file",
+        "config-is-a-directory",
+        "config-not-utf8",
+    ],
+)
+def test_cli_io_errors_are_exit_2(tmp_path, capsys, argv, bad):
+    # a config that cannot be read and an output that cannot be written are
+    # configuration errors, reported in one line that names the path
+    (tmp_path / "file.txt").write_text("not a directory\n")
+    (tmp_path / "latin1.json").write_bytes('{"atom": {"gamma_mhz": 3.0}} # \xb5s'.encode("latin-1"))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    bad = argv[-1] if bad is None else bad.format(tmp=tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the saturated motion-averages points
+        assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert bad in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_scan_pump(tmp_path):
     out = tmp_path / "scan.csv"
     assert run(["scan-pump", "--config", MAIN, "--out", str(out), "--points", "50"]) == 0
@@ -271,9 +343,8 @@ def test_cli_scan_pump(tmp_path):
 
 
 def test_reports_and_pump_scans_build_no_stationary_state(tmp_path, monkeypatch):
-    # the reports take their photon number from the lower root; through
-    # solve_stationary and empty_cavity_state the scans built two states per
-    # grid point, 400 on these 200-point grids
+    # the reports take their photon number from the lower root, so the
+    # 200-point scans build no StationaryState
     built = []
     init = StationaryState.__init__
 
@@ -290,9 +361,9 @@ def test_reports_and_pump_scans_build_no_stationary_state(tmp_path, monkeypatch)
         for command, config in (("scan-pump", MAIN), ("homodyne-scan", NARROW)):
             assert run([command, "--config", config, "--out", str(tmp_path / "scan.csv")]) == 0
     assert built == []
-    # steady writes the full state of the atom and of the empty cavity
+    # steady writes the full state of the atom; the empty cavity's is a closed form
     assert run(["steady", "--config", MAIN, "--out", str(tmp_path / "steady.json")]) == 0
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 def test_cli_scan_pump_rejects_detuned_config(tmp_path, capsys):
@@ -953,7 +1024,7 @@ def test_solver_is_finite_at_the_corners_of_its_ranges():
             }
         )
         state = solve_stationary(cfg.atom, cfg.cavity, cfg.drive)
-        assert all(map(math.isfinite, (state.n_photons, state.rho11, abs(state.alpha))))
+        assert all(map(math.isfinite, (state.n_photons, state.rho11, state.gamma_eff, state.light_shift)))
 
 
 @pytest.mark.parametrize("name", sorted(RANGES))

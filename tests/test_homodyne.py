@@ -14,7 +14,6 @@ from cavdet import (
     NotDispersive,
     SmallDetuningWarning,
     dispersive_saturation_pump,
-    empty_cavity_state,
     homodyne_report,
     m_homodyne,
     max_snr_hom_over_pump,
@@ -23,6 +22,7 @@ from cavdet import (
     snr_homodyne_strong_limit,
     snr_homodyne_weak_limit,
 )
+from oracles import empty_photons
 
 TAU = 10 * US
 GAMMA = AtomParams().gamma
@@ -146,7 +146,7 @@ def test_small_angle_flag(narrow_cavity):
 
 def test_dispersive_saturation_pump_identity(atom200, narrow_cavity):
     j_sat = dispersive_saturation_pump(atom200, narrow_cavity)
-    n_empty = empty_cavity_state(narrow_cavity, DriveParams(j_sat, TAU)).n_photons
+    n_empty = empty_photons(narrow_cavity, DriveParams(j_sat, TAU))
     s = 2 * narrow_cavity.g_max**2 * n_empty / (atom200.delta_a**2 + GAMMA**2)
     assert s == pytest.approx(1.0, rel=1e-12)
 

@@ -16,7 +16,6 @@ from cavdet import (
     NotResonant,
     SaturationWarning,
     cooperativity,
-    diffusion_coefficient,
     load_config,
     saturation_pump,
     snr_low_saturation,
@@ -24,6 +23,7 @@ from cavdet import (
     spatial_averages,
 )
 from cavdet import motion
+from oracles import diffusion_coefficient
 
 TAU = 10 * US
 
@@ -55,6 +55,19 @@ def test_averaged_quantities_are_consistent(atom, fig_cavity):
     assert av.d_bar == pytest.approx(
         ((HBAR * k) ** 2 / TAU) * (1 + c / 2) * av.m_bar, rel=1e-8
     )
+
+
+@pytest.mark.parametrize("cavity", ["main_cavity", "transit_cavity", "narrow_cavity"])
+def test_d_bar_is_the_axial_mean_of_d(atom, cavity, request):
+    # <(Gamma*kappa + g^2*cos^2 kz)^-2> over a period is
+    # (2*Gamma*kappa + g^2)/(2*(Gamma*kappa)^1.5*(Gamma*kappa + g^2)^1.5); a
+    # uniform grid over one period of a smooth periodic function converges
+    # far below the tolerance
+    cavity = request.getfixturevalue(cavity)
+    drive = DriveParams(1e-3 * saturation_pump(atom, cavity), TAU)
+    z = 0.5 * atom.wavelength * np.arange(20_000) / 20_000
+    d_bar = spatial_averages(atom, cavity, drive).d_bar
+    assert diffusion_coefficient(atom, cavity, drive, z).mean() == pytest.approx(d_bar, rel=1e-12)
 
 
 def test_no_warning_at_low_pump(atom, fig_cavity, monkeypatch):

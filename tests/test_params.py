@@ -18,9 +18,10 @@ from cavdet import (
     cooperativity,
     geometric_cooperativity,
     loss_fraction_to_rate,
-    pump_amplitude,
     round_trips_and_finesse,
 )
+from cavdet.resonant_detection import _empty_photons
+from cavdet.steady_state import _scaled
 
 
 def test_unit_constants():
@@ -104,11 +105,13 @@ def test_drive_validation():
     assert DriveParams(j_in=0.0, tau=1.0).j_in == 0.0
 
 
-def test_pump_amplitude(main_cavity):
+def test_pump_amplitude(atom, main_cavity):
+    # eta^2 = j_in*kappa_t enters the solver, and eta the empty cavity's field
     d = DriveParams(j_in=2e6, tau=1e-5)
-    assert pump_amplitude(d, main_cavity) ** 2 == pytest.approx(
-        2e6 * main_cavity.kappa_t, rel=1e-12
-    )
+    e2 = _scaled(atom, main_cavity, main_cavity.g_max, d.j_in)[1]
+    assert e2 * atom.gamma**2 == pytest.approx(2e6 * main_cavity.kappa_t, rel=1e-12)
+    n_empty = _empty_photons(main_cavity, d.j_in)
+    assert n_empty * main_cavity.kappa**2 == pytest.approx(2e6 * main_cavity.kappa_t, rel=1e-12)
 
 
 def test_cooperativity_values(atom, main_cavity, narrow_cavity):

@@ -117,8 +117,7 @@ def test_grid_snr_matches_scalar_reports(fallbacks):
             # its rounding by the size of the terms, not of the difference,
             # which cancels at weak coupling
             n_out_atom = _detected_photons(n_ref, cavity, TAU)
-            empty = [steady_state.empty_cavity_state(cavity, DriveParams(x, TAU)) for x in j]
-            n_empty = np.array([e.n_photons for e in empty])
+            n_empty = np.array([resonant_detection._empty_photons(cavity, x) for x in j])
             n_out_empty = _detected_photons(n_empty, cavity, TAU)
             # S at the empty cavity's own photon number is the array path's
             # empty-cavity count minus the scalar state's, over sqrt(N_out,0)

@@ -15,7 +15,6 @@ from cavdet import (
     NotResonant,
     classify_coupling,
     cooperativity,
-    empty_cavity_state,
     fluorescence_reference,
     intensity_report,
     m_weak_limit,
@@ -29,6 +28,7 @@ from cavdet import (
     stationary_photon_numbers,
 )
 from cavdet import resonant_detection, steady_state
+from oracles import empty_photons
 
 TAU = 10 * US
 
@@ -144,7 +144,7 @@ def test_asymmetric_input_doubles_output(atom, main_cavity, drive2):
 def test_saturation_pump_identity(atom, main_cavity, narrow_cavity, high_loss_cavity):
     for cavity in (main_cavity, narrow_cavity, high_loss_cavity):
         j_sat = saturation_pump(atom, cavity)
-        n_empty = empty_cavity_state(cavity, DriveParams(j_sat, TAU)).n_photons
+        n_empty = empty_photons(cavity, DriveParams(j_sat, TAU))
         assert 2 * cavity.g_max**2 * n_empty / atom.gamma**2 == pytest.approx(1.0, rel=1e-12)
 
 

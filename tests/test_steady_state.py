@@ -22,17 +22,15 @@ from cavdet import (
     HomodyneReport,
     ResonantReport,
     StepTooLarge,
-    empty_cavity_state,
     homodyne_report,
-    integrate_bloch,
     intensity_report,
-    output_photons,
     solve_stationary,
     stationary_photon_numbers,
     stationary_scan,
 )
 from cavdet import homodyne_detection, resonant_detection, steady_state
 from cavdet.steady_state import _cubic_coeffs, _lower_branch, _may_be_bistable, _scaled
+from oracles import empty_photons, integrate_bloch
 
 
 def residual(n, atom, cavity, drive, g):
@@ -138,16 +136,15 @@ def test_fixed_point_oracle_inset(atom, narrow_cavity, drive2):
 def test_empty_cavity_closed_form():
     cavity = CavityParams(g_max=12 * MHZ, kappa_t=3 * MHZ, kappa_loss=6 * MHZ, delta_c=4 * MHZ)
     drive = DriveParams(j_in=5e6, tau=1e-5)
-    state = empty_cavity_state(cavity, drive)
-    expected = drive.j_in * cavity.kappa_t / (cavity.kappa**2 + cavity.delta_c**2)
-    assert state.n_photons == pytest.approx(expected, rel=1e-12)
-    assert state.rho11 == 0.0
+    # the complex quotient |eta/(kappa - i*delta_c)|^2 that steady and the reports use
+    n_empty = resonant_detection._empty_photons(cavity, drive.j_in)
+    assert n_empty == pytest.approx(empty_photons(cavity, drive), rel=1e-12)
 
 
 def test_zero_coupling_equals_empty(atom, main_cavity, drive2):
     state = solve_stationary(atom, main_cavity, drive2, g_local=0.0)
-    empty = empty_cavity_state(main_cavity, drive2)
-    assert state.n_photons == pytest.approx(empty.n_photons, rel=1e-12)
+    assert state.n_photons == pytest.approx(empty_photons(main_cavity, drive2), rel=1e-12)
+    assert state.rho11 == 0.0
 
 
 def test_scan_matches_scalar_solver(atom, main_cavity, drive2):
@@ -472,11 +469,21 @@ def test_pump_objectives_are_the_reports_snr(case, asymmetric):
 
 
 def _reports_from_states(resonant, dispersive, cavity, on_line, drive):
-    """Both reports as they were built from two StationaryStates: the reports' oracle."""
-    empty = empty_cavity_state(cavity, drive)
+    """Both reports as they were built from a StationaryState: the reports' oracle.
+
+    The empty cavity's field is eta/(kappa - i*delta_c), and a photon number
+    n is detected as n*kappa_t*tau, twice that with an asymmetric input.
+    """
+
+    def detected(n, cav):
+        return (2.0 if cav.asymmetric_input else 1.0) * n * cav.kappa_t * drive.tau
+
+    def n_empty(cav):
+        return abs(math.sqrt(drive.j_in * cav.kappa_t) / (cav.kappa - 1j * cav.delta_c)) ** 2
+
     state = solve_stationary(resonant, cavity, drive)
-    n_out_empty = output_photons(empty, cavity, drive)
-    n_out_atom = n_out_empty if cavity.g_max == 0 else output_photons(state, cavity, drive)
+    n_out_empty = detected(n_empty(cavity), cavity)
+    n_out_atom = n_out_empty if cavity.g_max == 0 else detected(state.n_photons, cavity)
     intensity = ResonantReport(
         n_out_empty=n_out_empty,
         n_out_atom=n_out_atom,
@@ -485,9 +492,9 @@ def _reports_from_states(resonant, dispersive, cavity, on_line, drive):
         saturation=2.0 * cavity.g_max * cavity.g_max * state.n_photons / resonant.gamma**2,
     )
     state = solve_stationary(dispersive, on_line, drive)
-    n_out_empty = output_photons(empty_cavity_state(on_line, drive), on_line, drive)
+    n_out_empty = detected(n_empty(on_line), on_line)
     # the same g = 0 rule as the intensity report's
-    n_out = n_out_empty if on_line.g_max == 0 else output_photons(state, on_line, drive)
+    n_out = n_out_empty if on_line.g_max == 0 else detected(state.n_photons, on_line)
     phi, snr = homodyne_detection._phase_and_snr(state.light_shift, on_line.kappa, n_out)
     homodyne = HomodyneReport(
         phase_shift=phi,
@@ -510,7 +517,7 @@ def _reports_from_states(resonant, dispersive, cavity, on_line, drive):
 def test_reports_are_the_stationary_state_route(case, asymmetric):
     # each report computes every field from the lower root with its
     # optimizers' arithmetic; field by field it is the report built from
-    # solve_stationary, empty_cavity_state and output_photons, to the bit
+    # solve_stationary and the empty cavity's closed form, to the bit
     g, kt, kl, da, dc, j = case
     cavity = CavityParams(
         g_max=g * MHZ,
@@ -591,8 +598,7 @@ def test_atom_never_brightens_resonant_cavity(g, kt, kl, da, j):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         state = solve_stationary(atom, cavity, drive)
-    empty = empty_cavity_state(cavity, drive)
-    assert state.n_photons <= empty.n_photons * (1 + 1e-9)
+    assert state.n_photons <= empty_photons(cavity, drive) * (1 + 1e-9)
 
 
 @settings(max_examples=150, deadline=None)
@@ -610,9 +616,9 @@ def test_population_and_coherence_bounds(g, kt, kl, da, dc, j):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         state = solve_stationary(atom, cavity, DriveParams(j_in=j, tau=1e-5))
+    # |rho01|^2 = rho11*(1 - 2*rho11) in this model, so this also bounds
+    # |rho01| by 1/(2*sqrt(2))
     assert 0.0 <= state.rho11 < 0.5
-    # |rho01| = sqrt(s)/(1+2s) with s the saturation parameter; max 1/(2*sqrt(2))
-    assert abs(state.rho01) <= 1.0 / (2.0 * math.sqrt(2.0)) + 1e-12
     # gamma_eff and light shift share one denominator
     assert state.gamma_eff * atom.delta_a == pytest.approx(
         state.light_shift * atom.gamma, rel=1e-9, abs=1e-30

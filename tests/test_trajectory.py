@@ -23,7 +23,6 @@ from cavdet import (
     StepTooLarge,
     dark_rates,
     detect_events,
-    empty_cavity_state,
     local_coupling,
     run_ensemble,
     sample_initial,
@@ -35,6 +34,7 @@ from cavdet import (
 )
 from cavdet import steady_state, trajectory_sim
 from cavdet.trajectory_sim import _poisson_times
+from oracles import empty_photons
 
 US_ = 1e-6
 
@@ -199,9 +199,7 @@ def test_poisson_times_linear_rate_statistics():
 def test_empty_window_count_calibration(transit_cavity, transit_drive):
     # for these parameters the empty-cavity detected flux is exactly
     # j*(kappa_t/kappa)^2, i.e. 20 counts per 8 us window
-    rate0 = (
-        empty_cavity_state(transit_cavity, transit_drive).n_photons * transit_cavity.kappa_t
-    )
+    rate0 = empty_photons(transit_cavity, transit_drive) * transit_cavity.kappa_t
     assert rate0 * 8 * US_ == pytest.approx(20.0, rel=1e-12)
     rng = np.random.default_rng(3)
     span = 4000 * 8 * US_
@@ -242,7 +240,7 @@ def test_transit_produces_detectable_dip(atom, transit_cavity, transit_drive, gu
         atom, transit_cavity, transit_drive, guide, sim, [trajectory_rng(0, 0)]
     )[0]
     assert rec.windowed_counts.min() < sim.threshold
-    assert rec.n_photons.min() < empty_cavity_state(transit_cavity, transit_drive).n_photons
+    assert rec.n_photons.min() < empty_photons(transit_cavity, transit_drive)
     events = detect_events(rec.window_times, rec.windowed_counts, sim.threshold, sim.min_dip)
     assert events.size >= 1
 

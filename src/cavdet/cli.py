@@ -34,6 +34,9 @@ from .trajectory_sim import _check_step, run_ensemble
 
 
 _FLOAT = "%.12g"  # every float in a CSV
+# most points of a pump grid: a point is one report and one CSV row of ~90 B, so
+# 10**6 scan-pump points take about a minute on 2 vCPUs and write 88 MB
+_MAX_POINTS = 10**6
 
 
 def _fmt(value) -> str:
@@ -79,6 +82,8 @@ def _pump_grid(args, center: Callable[[], float]) -> np.ndarray:
         raise ConfigError("give both --jmin-per-us and --jmax-per-us, or neither")
     if args.points < 2:
         raise ConfigError("scan needs at least 2 points")
+    if args.points > _MAX_POINTS:
+        raise ConfigError(f"--points must be at most {_MAX_POINTS}, got {args.points}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"scan bounds must be finite, got lo={lo}, hi={hi}")
     if hi <= lo:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import SaturationWarning
 from .params import HBAR, AtomParams, CavityParams, DriveParams, cooperativity
-from .resonant_detection import check_resonant
+from .resonant_detection import _detected_rate, check_resonant
 from .steady_state import stationary_photon_numbers
 
 SATURATION_MAX = 0.1  # validity edge of the low-saturation forms
@@ -63,7 +63,8 @@ def spatial_averages(atom: AtomParams, cavity: CavityParams, drive: DriveParams)
     The average is one-dimensional, over the axial coordinate only; the
     transverse Gaussian profile is not averaged here.  Closed forms:
 
-        S_bar = sqrt(j*tau)*(kT/k)*(1 + C/2 - (1+C)^(-1/2))
+        S_bar = sqrt(j*tau)*(kT/k)*(1 + C/2 - (1+C)^(-1/2)), times sqrt(2)
+                with an asymmetric input mirror, which doubles the counts
         M_bar = j*tau*(kT/k)*C*(1+C)^(-3/2)
         D_bar = ((hbar*k)^2/tau)*(1 + C/2)*M_bar
         delta_p = hbar*k*sqrt(2*M_bar*(1 + C/2))
@@ -74,7 +75,8 @@ def spatial_averages(atom: AtomParams, cavity: CavityParams, drive: DriveParams)
     c = cooperativity(atom, cavity)
     jt = drive.j_in * drive.tau
     ratio = cavity.kappa_t / cavity.kappa
-    s_bar = math.sqrt(jt) * ratio * (1.0 + 0.5 * c - 1.0 / math.sqrt(1.0 + c))
+    doubling = math.sqrt(_detected_rate(1.0, cavity) / cavity.kappa_t)  # 1 on symmetric mirrors
+    s_bar = math.sqrt(jt) * ratio * (1.0 + 0.5 * c - 1.0 / math.sqrt(1.0 + c)) * doubling
     m_bar = jt * ratio * c / (1.0 + c) ** 1.5
     hk = HBAR * atom.k
     d_bar = hk**2 / drive.tau * (1.0 + 0.5 * c) * m_bar

@@ -139,7 +139,10 @@ def snr_resonant(atom: AtomParams, cavity: CavityParams, drive: DriveParams) -> 
 
 
 def snr_low_saturation(atom: AtomParams, cavity: CavityParams, drive: DriveParams) -> float:
-    """Exact low-saturation closed form sqrt(j*tau)*(kT/k)*[(1+C) - 1/(1+C)]."""
+    """Exact low-saturation closed form sqrt(j*tau)*(kT/k)*[(1+C) - 1/(1+C)].
+
+    Assumes the symmetric-output convention (no asymmetric_input doubling).
+    """
     c = cooperativity(atom, cavity)
     return (
         math.sqrt(drive.j_in * drive.tau)

@@ -38,6 +38,9 @@ BLOCK_ATOMS = 512
 # raised the 600-atom run's peak RSS by 0.2 MB, and larger ones ran slower
 BALLISTIC_ATOMS = 16
 _STEP_BLOCK = 256  # steps of uniforms and normals an atom draws at a time
+# most atoms in one ensemble: a transit takes about 1 ms, so 10**7 atoms run
+# for hours, and their per-atom M values (80 MB) still fit in memory
+_MAX_ATOMS = 10**7
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,8 @@ class SimConfig:
             raise ConfigError("sim.seed must be non-negative")
         if self.n_atoms < 1:
             raise ConfigError("sim.n_atoms must be at least 1")
+        if self.n_atoms > _MAX_ATOMS:
+            raise ConfigError(f"sim.n_atoms must be at most {_MAX_ATOMS}, got {self.n_atoms}")
         if self.dark_windows < 1:
             raise ConfigError("sim.dark_windows must be at least 1")
 

@@ -24,12 +24,8 @@ from cavdet import (
     GuideParams,
     SaturationWarning,
     SimConfig,
-    coupling_g,
+    derive,
     homodyne_report,
-    kappa_gap,
-    kappa_t_mirror,
-    mode_waist,
-    resonant_gaps,
     run_ensemble,
     snr_low_saturation,
     snr_resonant,
@@ -122,15 +118,16 @@ def test_criterion_5_averaged_signal_and_back_action():
 def test_criterion_6_fiber_gap_design():
     atom = AtomParams()
     design = FiberCavityDesign(fiber_length=10.4e-3)
-    gaps = dict(resonant_gaps(design, range(0, 20)))
+    mode13 = derive(design, atom, mode_index=13)
+    mode4 = derive(design, atom, mode_index=4)
     parts = [
-        _band("w0_um", mode_waist(design) / UM, 2.92, 0.01),
-        _band("gap13_um", gaps[13] / UM, 5.079, 0.001),
-        _band("gap4_um", gaps[4] / UM, 1.563, 0.001),
-        _band("kappa_gap13_MHz", kappa_gap(design, gaps[13] / 2) / MHZ, 6.23, 0.03),
-        _band("kappa_gap4_MHz", kappa_gap(design, gaps[4] / 2) / MHZ, 0.59, 0.03),
-        _band("g_MHz", coupling_g(design, atom) / MHZ, 12.2, 0.02),
-        _band("kappa_t_MHz", kappa_t_mirror(design) / MHZ, 7.65, 0.01),
+        _band("w0_um", mode13.waist / UM, 2.92, 0.01),
+        _band("gap13_um", 2 * mode13.half_gap / UM, 5.079, 0.001),
+        _band("gap4_um", 2 * mode4.half_gap / UM, 1.563, 0.001),
+        _band("kappa_gap13_MHz", mode13.kappa_gap / MHZ, 6.23, 0.03),
+        _band("kappa_gap4_MHz", mode4.kappa_gap / MHZ, 0.59, 0.03),
+        _band("g_MHz", mode13.g_max / MHZ, 12.2, 0.02),
+        _band("kappa_t_MHz", mode13.kappa_t / MHZ, 7.65, 0.01),
     ]
     print("criterion 6:", "; ".join(parts))
 

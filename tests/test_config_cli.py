@@ -665,6 +665,24 @@ def test_cli_simulate_rejects_counts_below_one(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["scan-pump", "--config", MAIN, "--points", "1000001"], "--points"),
+        (["motion-averages", "--config", TRANSIT, "--points", "1000001"], "--points"),
+        (["simulate", "--config", TRANSIT, "--atoms", "10000001"], "sim.n_atoms"),
+    ],
+)
+def test_cli_rejects_sizes_past_their_maximum(tmp_path, capsys, argv, name):
+    # just past the stated maximum, so nothing depends on what numpy can allocate
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name} must be at most ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_simulate_streamed_rows_match_per_value_format(tmp_path):
     # reference: one _fmt call per value, as the rows were built before streaming
     out = tmp_path / "sim"

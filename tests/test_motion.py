@@ -1,6 +1,7 @@
 """Position-averaged signal and momentum-diffusion back-action."""
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from cavdet import (
     NotResonant,
     SaturationWarning,
     cooperativity,
+    intensity_report,
     load_config,
     saturation_pump,
     snr_low_saturation,
@@ -68,6 +70,22 @@ def test_d_bar_is_the_axial_mean_of_d(atom, cavity, request):
     z = 0.5 * atom.wavelength * np.arange(20_000) / 20_000
     d_bar = spatial_averages(atom, cavity, drive).d_bar
     assert diffusion_coefficient(atom, cavity, drive, z).mean() == pytest.approx(d_bar, rel=1e-12)
+
+
+@pytest.mark.parametrize("asymmetric_input", [False, True])
+def test_s_bar_is_the_axial_mean_of_s(atom, transit_cavity, asymmetric_input):
+    # S at each axial position is the report's, with g_max*|cos kz| as the
+    # local coupling; a uniform grid over one period of the standing wave
+    cavity = replace(transit_cavity, asymmetric_input=asymmetric_input)
+    drive = DriveParams(1e4, TAU)
+    z = 0.5 * atom.wavelength * np.arange(400) / 400
+    s = [
+        intensity_report(
+            atom, replace(cavity, g_max=cavity.g_max * abs(math.cos(atom.k * zi))), drive
+        ).snr
+        for zi in z
+    ]
+    assert np.mean(s) == pytest.approx(spatial_averages(atom, cavity, drive).s_bar, rel=1e-3)
 
 
 def test_no_warning_at_low_pump(atom, fig_cavity, monkeypatch):

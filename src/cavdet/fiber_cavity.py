@@ -113,8 +113,9 @@ def derive(
     largest with a field node at the end face, where the gap-to-fiber
     amplitude ratio |F|/2 reaches n (it lies between 1 and n).
 
-    Derived quantities that overflow, leave a math function's domain or are
-    not finite raise ConfigError naming the design and the atom.
+    Derived quantities that overflow, leave a math function's domain,
+    divide by zero or are not finite raise ConfigError naming the design
+    and the atom.
     """
     n = design.n_core
     length = design.fiber_length
@@ -158,7 +159,8 @@ def derive(
             mode_index=m,
             half_gap=d,
         )
-    except (OverflowError, ValueError):  # ValueError: math domain error, e.g. sin(inf)
+    # ValueError: math domain error, e.g. sin(inf); ZeroDivisionError: V or a length underflows to 0
+    except (OverflowError, ValueError, ZeroDivisionError):
         derived = None
     if derived is None or not all(map(math.isfinite, vars(derived).values())):
         raise ConfigError(f"{design} with {atom} is outside the fiber-gap model's float range")

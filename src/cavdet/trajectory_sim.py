@@ -38,9 +38,21 @@ BLOCK_ATOMS = 512
 # raised the 600-atom run's peak RSS by 0.2 MB, and larger ones ran slower
 BALLISTIC_ATOMS = 16
 _STEP_BLOCK = 256  # steps of uniforms and normals an atom draws at a time
+# most atoms whose M and click-rate integral are one array pass: slices of
+# 1 to 16 atoms timed within 5 % of each other on a 200-atom ballistic
+# ensemble, and 16 raised the 500-atom recoil run's peak RSS by 0.6 MB
+_RECORD_ATOMS = 4
 # most atoms in one ensemble: a transit takes about 1 ms, so 10**7 atoms run
 # for hours, and their per-atom M values (80 MB) still fit in memory
 _MAX_ATOMS = 10**7
+# most steps per transit, duration/dt: at 40 B per atom-step one atom holds
+# 4 MB and a full recoil block of BLOCK_ATOMS about 2 GB; the shipped
+# configs take 2,000
+_MAX_STEPS = 10**5
+# most expected clicks in the dark stream: its click times cost 16 B per
+# click while they are sorted, 1.6 GB here; the shipped configs expect
+# at most 2 million
+_MAX_DARK_CLICKS = 10**8
 
 
 @dataclass(frozen=True)
@@ -90,6 +102,11 @@ class SimConfig:
             raise ConfigError("sim.min_dip must be non-negative")
         if self.duration < self.window:
             raise ConfigError("sim.duration must cover at least one window")
+        if self.duration / self.dt > _MAX_STEPS:
+            raise ConfigError(
+                f"sim.duration/sim.dt must be at most {_MAX_STEPS} steps, "
+                f"got {self.duration / self.dt:.6g}"
+            )
         if self.seed < 0:
             raise ConfigError("sim.seed must be non-negative")
         if self.n_atoms < 1:
@@ -178,6 +195,14 @@ def local_coupling(position, cavity: CavityParams, atom: AtomParams):
     return float(g) if p.ndim == 1 else g
 
 
+def _window_starts(window: float, stride: float, duration: float) -> np.ndarray:
+    """Starts of the sliding windows [t, t + window), stride apart from 0 to duration - window."""
+    n_windows = int(math.floor((duration - window) / stride + 1e-9)) + 1
+    if n_windows < 1:
+        raise ValueError("duration shorter than one window")
+    return np.arange(n_windows) * stride
+
+
 def windowed_counts(click_times, window: float, stride: float, duration: float):
     """Sliding-window click counts.
 
@@ -187,14 +212,32 @@ def windowed_counts(click_times, window: float, stride: float, duration: float):
     if stride > window:
         raise ValueError("stride must not exceed the window")
     clicks = np.asarray(click_times, dtype=float)
-    n_windows = int(math.floor((duration - window) / stride + 1e-9)) + 1
-    if n_windows < 1:
-        raise ValueError("duration shorter than one window")
-    starts = np.arange(n_windows) * stride
+    starts = _window_starts(window, stride, duration)
     counts = np.searchsorted(clicks, starts + window, side="left") - np.searchsorted(
         clicks, starts, side="left"
     )
     return starts, counts
+
+
+def _runs(below: np.ndarray):
+    """Maximal runs of True along the last axis of below: where each starts, and its length.
+
+    The starts are one index array per axis, as np.nonzero gives them, so
+    they are ordered by row and, within a row, by time.
+    """
+    padded = np.zeros(below.shape[:-1] + (below.shape[-1] + 2,), dtype=np.int8)
+    padded[..., 1:-1] = below
+    edges = np.diff(padded, axis=-1)
+    starts = np.nonzero(edges == 1)
+    return starts, np.nonzero(edges == -1)[-1] - starts[-1]
+
+
+def _min_windows(window_times, min_dip: float) -> int:
+    """Fewest consecutive windows a run must span to last min_dip; 1 where min_dip <= 0."""
+    if min_dip <= 0.0:
+        return 1
+    stride = window_times[1] - window_times[0] if len(window_times) > 1 else math.inf
+    return max(1, math.ceil(min_dip / stride - 1e-9))
 
 
 def detect_events(window_times, counts, threshold: int, min_dip: float) -> np.ndarray:
@@ -204,26 +247,21 @@ def detect_events(window_times, counts, threshold: int, min_dip: float) -> np.nd
     event, stamped at its first window; runs spanning less than min_dip
     (in the time units of window_times) are discarded.
     """
-    counts = np.asarray(counts)
-    below = counts < threshold
-    if not below.any():
-        return np.empty(0, dtype=float)
-    edges = np.diff(np.concatenate(([False], below, [False])).astype(np.int8))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    if min_dip > 0.0:
-        times = np.asarray(window_times, dtype=float)
-        stride = times[1] - times[0] if times.size > 1 else math.inf
-        need = max(1, math.ceil(min_dip / stride - 1e-9))
-        keep = (ends - starts) >= need
-        starts = starts[keep]
-    return np.asarray(window_times, dtype=float)[starts]
+    times = np.asarray(window_times, dtype=float)
+    (starts,), lengths = _runs(np.asarray(counts) < threshold)
+    return times[starts[lengths >= _min_windows(times, min_dip)]]
 
 
-def _poisson_times(times, rate, rng: np.random.Generator) -> np.ndarray:
-    """Inhomogeneous Poisson arrivals by time rescaling of the rate integral."""
-    increments = 0.5 * (rate[1:] + rate[:-1]) * np.diff(times)
-    lam = np.concatenate(([0.0], np.cumsum(increments)))
+def _rate_integral(times, rate) -> np.ndarray:
+    """Trapezoid integral of rate from times[0] to each time, along the last axis."""
+    increments = 0.5 * (rate[..., 1:] + rate[..., :-1]) * np.diff(times)
+    lam = np.zeros(np.shape(rate))
+    np.cumsum(increments, axis=-1, out=lam[..., 1:])
+    return lam
+
+
+def _arrivals(lam, times, rng: np.random.Generator) -> np.ndarray:
+    """Poisson arrival times at the rate whose integral over times is lam, by time rescaling."""
     total = lam[-1]
     k = rng.poisson(total)
     u = np.sort(rng.uniform(0.0, total, k))
@@ -231,6 +269,11 @@ def _poisson_times(times, rate, rng: np.random.Generator) -> np.ndarray:
     if t.size:
         t = t[np.concatenate(([True], np.diff(t) > 0))]
     return t
+
+
+def _poisson_times(times, rate, rng: np.random.Generator) -> np.ndarray:
+    """Inhomogeneous Poisson arrivals by time rescaling of the rate integral."""
+    return _arrivals(_rate_integral(times, rate), times, rng)
 
 
 def _check_step(atom, guide, sim) -> float:
@@ -257,20 +300,42 @@ def _rho11(g2, n, d0):
     return g2n / (d0 + 2.0 * g2n)
 
 
-def _record(times, position, n_t, rho11_t, gam, cavity, sim, rng) -> TrajectoryRecord:
-    """Scattered photons, detector clicks and windowed counts of one transit."""
-    m_scattered = float(np.trapezoid(2.0 * gam * rho11_t, times))
-    clicks = _poisson_times(times, _detected_rate(n_t, cavity), rng)
-    window_times, counts = windowed_counts(clicks, sim.window, sim.stride, duration=sim.duration)
-    return TrajectoryRecord(
-        times=times,
-        position=position,
-        n_photons=n_t,
-        click_times=clicks,
-        window_times=window_times,
-        windowed_counts=counts,
-        m_scattered=m_scattered,
-    )
+def _records(times, position, n_t, rho11_t, gam, cavity, sim, rngs) -> list[TrajectoryRecord]:
+    """Scattered photons, detector clicks and windowed counts of a block's transits.
+
+    The window grid is built once per block.  M and the click-rate
+    integral are one trapezoid and one cumsum along the steps of
+    _RECORD_ATOMS atoms at a time, which bounds their temporaries; each
+    atom then draws its clicks from its own generator, in block order, and
+    locates every window edge among them with one searchsorted.  The
+    records share the grid and hold rows of the block's arrays.
+    """
+    window_times = _window_starts(sim.window, sim.stride, sim.duration)
+    edges = np.concatenate((window_times, window_times + sim.window))
+    n_atoms = len(rngs)
+    m_scattered = np.empty(n_atoms)
+    at_edges = np.empty((n_atoms, edges.size), dtype=np.intp)
+    clicks = []
+    for lo in range(0, n_atoms, _RECORD_ATOMS):
+        hi = min(lo + _RECORD_ATOMS, n_atoms)
+        m_scattered[lo:hi] = np.trapezoid(2.0 * gam * rho11_t[lo:hi], times, axis=-1)
+        lam = _rate_integral(times, _detected_rate(n_t[lo:hi], cavity))
+        for j in range(lo, hi):
+            clicks.append(_arrivals(lam[j - lo], times, rngs[j]))
+            at_edges[j] = np.searchsorted(clicks[j], edges, side="left")
+    counts = at_edges[:, window_times.size :] - at_edges[:, : window_times.size]
+    return [
+        TrajectoryRecord(
+            times=times,
+            position=position[j],
+            n_photons=n_t[j],
+            click_times=clicks[j],
+            window_times=window_times,
+            windowed_counts=counts[j],
+            m_scattered=float(m_scattered[j]),
+        )
+        for j in range(n_atoms)
+    ]
 
 
 def _kick_count(u: float, lam: float, p0: float) -> int:
@@ -307,12 +372,15 @@ def simulate_block(
     atoms of the block at once; each step's photon numbers are one
     _lower_branch call, warm-started from the step before.  Either way each
     photon number is a checked root whose Newton sequence depends only on
-    its own element.  Each atom draws from its own generator, in this
-    order: its initial condition; with recoil, for each run of _STEP_BLOCK
-    steps, the uniforms that set its Poisson kick counts by inversion and
-    its axial-diffusion normals, then the directions of each of its kicks
-    as it happens; its detector clicks after the transit.  Record i
-    therefore depends only on rngs[i], not on the block it is solved in.
+    its own element.  The records are computed per block too (_records):
+    one window grid, and M and the click-rate integral as array passes
+    over a few atoms at a time.  Each atom draws from its own generator,
+    in this order: its initial condition; with recoil, for each run of
+    _STEP_BLOCK steps, the uniforms that set its Poisson kick counts by
+    inversion and its axial-diffusion normals, then the directions of
+    each of its kicks as it happens; its detector clicks after the
+    transit.  Record i therefore depends only on rngs[i], not on the block
+    it is solved in.
     """
     _check_step(atom, guide, sim)
     n_atoms = len(rngs)
@@ -326,17 +394,15 @@ def simulate_block(
     pos = np.array([p for p, _ in initial])
     vel = np.array([v for _, v in initial])
     if not sim.include_recoil:
-        cos_t, sin_t = np.cos(om * times)[:, None], np.sin(om * times)[:, None]
+        cos_t, sin_t = np.cos(om * times), np.sin(om * times)
         position = np.empty((n_atoms, n_steps + 1, 3))
-        position[..., ::2] = pos[:, None, ::2] * cos_t + (vel[:, None, ::2] / om) * sin_t
+        for k in (0, 2):  # an axis at a time, so numpy's inner loops run along the steps
+            position[..., k] = pos[:, k, None] * cos_t + (vel[:, k, None] / om) * sin_t
         position[..., 1] = pos[:, 1:2] + vel[:, 1:2] * times
         g_t = local_coupling(position, cavity, atom)
         n_t = stationary_scan(atom, cavity, drive, g_t)
         rho11_t = _rho11(_scaled(atom, cavity, g_t, drive.j_in)[0], n_t, d0)
-        return [
-            _record(times, position[j], n_t[j], rho11_t[j], gam, cavity, sim, rng)
-            for j, rng in enumerate(rngs)
-        ]
+        return _records(times, position, n_t, rho11_t, gam, cavity, sim, rngs)
     neg_inv_w0sq = -1.0 / cavity.waist**2
     k_opt = atom.k
     inv_gam2 = 1.0 / gam**2
@@ -387,10 +453,7 @@ def simulate_block(
         vq[0] += normals[k] * g_env / (gk + g_loc2)
         q, vq = q * cw + vq * sw_om, vq * cw - q * om_sw
         y = y + vy * dt
-    return [
-        _record(times, position[j], n_t[j], rho11_t[j], gam, cavity, sim, rng)
-        for j, rng in enumerate(rngs)
-    ]
+    return _records(times, position, n_t, rho11_t, gam, cavity, sim, rngs)
 
 
 def _blocks(n_atoms: int, most: int) -> list[tuple[int, int]]:
@@ -400,18 +463,33 @@ def _blocks(n_atoms: int, most: int) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _first_detection(record: TrajectoryRecord, cavity: CavityParams, sim: SimConfig):
-    """Earliest qualifying event time, or None.
+def _first_detections(records, cavity: CavityParams, sim: SimConfig) -> list[float | None]:
+    """Each record's earliest qualifying event time, or None; the records share one window grid.
 
     Qualifying means the event starts while the atom is within
-    PRESENCE_WAISTS waists of the axis along the guide.
+    PRESENCE_WAISTS waists of the axis along the guide.  The events of all
+    records come from one (atoms x windows) below-threshold array.
     """
-    events = detect_events(record.window_times, record.windowed_counts, sim.threshold, sim.min_dip)
-    if events.size == 0:
-        return None
-    y_at = np.interp(events, record.times, record.position[:, 1])
-    good = events[np.abs(y_at) <= PRESENCE_WAISTS * cavity.waist]
-    return float(good[0]) if good.size else None
+    window_times = records[0].window_times
+    below = np.array([r.windowed_counts for r in records]) < sim.threshold
+    (atoms, starts), lengths = _runs(below)
+    long_enough = lengths >= _min_windows(window_times, sim.min_dip)
+    atoms, events = atoms[long_enough], window_times[starts[long_enough]]
+    y_at = np.empty(events.size)
+    for j, lo, hi in _row_spans(atoms):
+        y_at[lo:hi] = np.interp(events[lo:hi], records[j].times, records[j].position[:, 1])
+    present = np.abs(y_at) <= PRESENCE_WAISTS * cavity.waist
+    atoms, events = atoms[present], events[present]
+    hits = [None] * len(records)
+    for j, lo, _ in _row_spans(atoms):
+        hits[j] = float(events[lo])
+    return hits
+
+
+def _row_spans(rows: np.ndarray):
+    """(row, first, stop) of each run of equal values in the ascending array rows."""
+    values, first = np.unique(rows, return_index=True)
+    return zip(values.tolist(), first.tolist(), [*first[1:].tolist(), rows.size])
 
 
 def _poisson_split(shape: int, x: float) -> tuple[float, float, float]:
@@ -509,10 +587,17 @@ def dark_rates(
 
     Simulates dark_windows windows of empty-cavity shot noise and counts
     threshold events.  Returns (rate, 95% Poisson CI, rate range across
-    dip-persistence conventions of 1 to 5 strides).
+    dip-persistence conventions of 1 to 5 strides).  Raises ConfigError,
+    before any draw, where the stream expects more than _MAX_DARK_CLICKS
+    clicks.
     """
     rate0 = _detected_rate(_empty_photons(cavity, drive.j_in), cavity)
     span_total = sim.dark_windows * sim.window
+    if rate0 * span_total > _MAX_DARK_CLICKS:
+        raise ConfigError(
+            f"sim.dark_windows={sim.dark_windows} expects {rate0 * span_total:.3g} dark "
+            f"clicks; at most {_MAX_DARK_CLICKS} are drawn"
+        )
     rng = _dark_rng(sim.seed)
     n_clicks = rng.poisson(rate0 * span_total)
     clicks = np.sort(rng.uniform(0.0, span_total, n_clicks))
@@ -541,8 +626,9 @@ def run_ensemble(
     report does not depend on how the atoms are split into blocks.  The
     atoms run in process, one simulate_block call per contiguous block of
     at most BLOCK_ATOMS atoms with recoil and BALLISTIC_ATOMS without (see
-    _blocks).  record_sink, if given, receives (index, TrajectoryRecord)
-    in index order.  StepTooLarge is raised before any atom runs, and
+    _blocks).  A block's first detections come from one pass over its
+    records (_first_detections).  record_sink, if given, receives
+    (index, TrajectoryRecord) in index order.  StepTooLarge is raised before any atom runs, and
     QuasiStaticViolated, where an atom crosses a standing-wave period in
     under 10 cavity lifetimes, is warned once per call.
     """
@@ -562,9 +648,9 @@ def run_ensemble(
     for start, stop in _blocks(sim.n_atoms, most):
         rngs = [trajectory_rng(sim.seed, i) for i in range(start, stop)]
         records = simulate_block(atom, cavity, drive, guide, sim, rngs)
-        for index, record in enumerate(records, start):
+        hits = _first_detections(records, cavity, sim)
+        for index, record, hit in zip(range(start, stop), records, hits):
             m_values[index] = record.m_scattered
-            hit = _first_detection(record, cavity, sim)
             if hit is not None:
                 detections.append((index, hit))
             if record_sink is not None:

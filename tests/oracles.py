@@ -3,17 +3,22 @@
 integrate_bloch integrates the semiclassical equations in the time domain,
 the oracle of the stationary solver.  diffusion_coefficient is the paper's
 momentum diffusion D(z), whose axial mean is motion.spatial_averages'
-D_bar.  empty_photons is the empty cavity's photon number.
+D_bar.  empty_photons is the empty cavity's photon number.  lower_branch,
+record and first_detection are the element-by-element and atom-by-atom
+forms of the batched solver and the block records: the package must match
+them bit for bit.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from cavdet import AtomParams, CavityParams, DriveParams, StepTooLarge
+from cavdet import AtomParams, CavityParams, DriveParams, StepTooLarge, steady_state
 from cavdet.motion import _warn_if_saturated
 from cavdet.params import HBAR
-from cavdet.resonant_detection import check_resonant
+from cavdet.resonant_detection import _detected_rate, check_resonant
+from cavdet.steady_state import _may_be_bistable, _roots_scaled, _two_limits, _unconverged
+from cavdet.trajectory_sim import PRESENCE_WAISTS, TrajectoryRecord
 
 
 def empty_photons(cavity: CavityParams, drive: DriveParams) -> float:
@@ -117,3 +122,91 @@ def diffusion_coefficient(
     denom = atom.gamma * cavity.kappa + g2 * np.cos(k * np.asarray(z)) ** 2
     d = atom.gamma * (HBAR * k) ** 2 * eta2 * g2 / denom**2
     return float(d) if np.isscalar(z) else d
+
+
+def lower_branch(g2, e2, kap, da, dc, n_start=None):
+    """steady_state._lower_branch with every element kept in the Newton loop to the end.
+
+    A finished element is masked out of each update by np.where instead of
+    being left out of the arrays; _TRACK_ITERS is read at each call.
+    """
+    cold = n_start is None
+    if cold:
+        n_lin, n_sat = _two_limits(g2, e2, kap, da, dc)
+        n = np.minimum(np.maximum(n_lin, n_sat), e2 / (kap * kap))
+    else:
+        n = n_start
+    d0 = da * da + 1.0
+    two_g2 = 2.0 * g2
+    pending = True
+    for it in range(steady_state._TRACK_ITERS + 1):
+        t = two_g2 * n
+        d = d0 + t
+        gam = g2 / d
+        ka = kap + gam
+        dd = dc - da * gam
+        s = ka * ka + dd * dd
+        f = n * s - e2
+        todo = _unconverged(f, e2)
+        if cold:
+            todo, pending = todo | pending, todo
+        if it == steady_state._TRACK_ITERS or not np.count_nonzero(todo):
+            break
+        fp = s - 2.0 * t * gam * (ka - da * dd) / d
+        step = np.maximum(n - f / np.where(fp == 0.0, 1.0, fp), 0.5 * n)
+        n = np.where(todo, step, n)
+    redo = todo | _may_be_bistable(g2, e2, kap, da, dc)
+    if np.count_nonzero(redo):
+        n = np.array(n, dtype=float)
+        g2b, e2b = np.broadcast_arrays(g2, e2)
+        for i in np.flatnonzero(redo):
+            n.flat[i] = _roots_scaled(float(g2b.flat[i]), float(e2b.flat[i]), kap, da, dc)[0]
+    return n
+
+
+def record(times, position, n_t, rho11_t, gam, cavity, sim, rng) -> TrajectoryRecord:
+    """One atom's transit record, computed on its own rows alone."""
+    m_scattered = float(np.trapezoid(2.0 * gam * rho11_t, times))
+    rate = _detected_rate(n_t, cavity)
+    increments = 0.5 * (rate[1:] + rate[:-1]) * np.diff(times)
+    lam = np.concatenate(([0.0], np.cumsum(increments)))
+    total = lam[-1]
+    k = rng.poisson(total)
+    u = np.sort(rng.uniform(0.0, total, k))
+    clicks = np.interp(u, lam, times)
+    if clicks.size:
+        clicks = clicks[np.concatenate(([True], np.diff(clicks) > 0))]
+    n_windows = int(math.floor((sim.duration - sim.window) / sim.stride + 1e-9)) + 1
+    starts = np.arange(n_windows) * sim.stride
+    counts = np.searchsorted(clicks, starts + sim.window, side="left") - np.searchsorted(
+        clicks, starts, side="left"
+    )
+    return TrajectoryRecord(
+        times=times,
+        position=position,
+        n_photons=n_t,
+        click_times=clicks,
+        window_times=starts,
+        windowed_counts=counts,
+        m_scattered=m_scattered,
+    )
+
+
+def first_detection(record: TrajectoryRecord, cavity: CavityParams, sim) -> float | None:
+    """Earliest event of one record that starts within PRESENCE_WAISTS waists, or None."""
+    below = record.windowed_counts < sim.threshold
+    if not below.any():
+        return None
+    edges = np.diff(np.concatenate(([False], below, [False])).astype(np.int8))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1)
+    times = record.window_times
+    if sim.min_dip > 0.0:
+        stride = times[1] - times[0] if times.size > 1 else math.inf
+        starts = starts[(ends - starts) >= max(1, math.ceil(sim.min_dip / stride - 1e-9))]
+    events = times[starts]
+    if events.size == 0:
+        return None
+    y_at = np.interp(events, record.times, record.position[:, 1])
+    good = events[np.abs(y_at) <= PRESENCE_WAISTS * cavity.waist]
+    return float(good[0]) if good.size else None

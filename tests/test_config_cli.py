@@ -683,6 +683,66 @@ def test_cli_rejects_sizes_past_their_maximum(tmp_path, capsys, argv, name):
     assert not out.exists()
 
 
+def _transit_config(tmp_path, **sim):
+    raw = json.loads(Path(TRANSIT).read_text())
+    raw["sim"].update(sim)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_sim_config_bounds_the_step_count():
+    dt = 1e-6
+    SimConfig(dt=dt, window=20 * dt, duration=trajectory_sim._MAX_STEPS * dt)
+    with pytest.raises(ConfigError, match="sim.duration/sim.dt must be at most"):
+        SimConfig(dt=dt, window=20 * dt, duration=(trajectory_sim._MAX_STEPS + 1) * dt)
+
+
+def _dark_windows_past_the_cap():
+    # the fewest whole windows whose expected dark clicks exceed the cap
+    cfg = load_config(TRANSIT)
+    empty = resonant_detection._empty_photons(cfg.cavity, cfg.drive.j_in)
+    rate0 = resonant_detection._detected_rate(empty, cfg.cavity)
+    cap, window = trajectory_sim._MAX_DARK_CLICKS, cfg.sim.window
+    windows = math.floor(cap / (rate0 * window)) - 1
+    while rate0 * (windows * window) <= cap:
+        windows += 1
+    return windows
+
+
+def test_dark_stream_is_bounded_before_any_draw(monkeypatch):
+    def no_draw(seed):
+        raise AssertionError("the dark stream drew before its size was checked")
+
+    monkeypatch.setattr(trajectory_sim, "_dark_rng", no_draw)
+    cfg = load_config(TRANSIT)
+    windows = _dark_windows_past_the_cap()
+    with pytest.raises(ConfigError, match=f"sim.dark_windows={windows} expects 1e\\+08 dark"):
+        dark_rates(cfg.cavity, cfg.drive, replace(cfg.sim, dark_windows=windows))
+    with pytest.raises(AssertionError, match="drew before"):
+        dark_rates(cfg.cavity, cfg.drive, replace(cfg.sim, dark_windows=windows - 1))
+
+
+@pytest.mark.parametrize(
+    "sim, name",
+    [
+        ({"duration_us": 0.05 * (trajectory_sim._MAX_STEPS + 1)}, "sim.duration/sim.dt"),
+        ({"dark_windows": _dark_windows_past_the_cap()}, "sim.dark_windows"),
+        ({"dark_windows": 10**15}, "sim.dark_windows"),
+    ],
+)
+def test_cli_simulate_rejects_a_run_past_its_size_caps(tmp_path, capsys, monkeypatch, sim, name):
+    # checked before the arrays exist, so no allocation of the stated size is asked for
+    monkeypatch.setattr(trajectory_sim, "_dark_rng", None)
+    out = tmp_path / "out"
+    config = _transit_config(tmp_path, **sim)
+    assert run(["simulate", "--config", config, "--atoms", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name}")
+    assert err.count("\n") == 1
+    assert not (out / "report.json").exists() and not (out / "trajectories.csv").exists()
+
+
 def test_cli_simulate_streamed_rows_match_per_value_format(tmp_path):
     # reference: one _fmt call per value, as the rows were built before streaming
     out = tmp_path / "sim"
@@ -994,6 +1054,17 @@ def test_cli_out_of_range_input_is_exit_2(tmp_path, capsys, argv, overrides, nam
         assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and name in err
+    assert not out.exists()
+
+
+def test_cli_design_whose_v_number_underflows_is_exit_2(tmp_path, capsys):
+    # V underflows to 0, so V**-1.5 in the waist raised ZeroDivisionError (exit 1)
+    out = tmp_path / "design.json"
+    argv = ["design-cavity", "--core-um", "1e-30", "--lambda-nm", "1e300", "--length-mm", "10.4"]
+    assert run(argv + ["--mode-index", "13", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "outside the fiber-gap model's float range" in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

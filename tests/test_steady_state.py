@@ -30,7 +30,7 @@ from cavdet import (
 )
 from cavdet import homodyne_detection, resonant_detection, steady_state
 from cavdet.steady_state import _cubic_coeffs, _lower_branch, _may_be_bistable, _scaled
-from oracles import empty_photons, integrate_bloch
+from oracles import empty_photons, integrate_bloch, lower_branch
 
 
 def residual(n, atom, cavity, drive, g):
@@ -357,6 +357,68 @@ def test_batched_lower_branch_is_the_scalar_lower_root(case):
         n_cold = steady_state._lower_branch(g2[:-1], e2, kap, da_s, dc_s)
         n_warm = steady_state._lower_branch(g2[1:], e2, kap, da_s, dc_s, n_cold)
         check(n_warm, g_values[1:], j, warm=True)
+
+
+def _lower_branch_cases(atom, narrow_cavity, transit_cavity):
+    """(g2, e2, kap, da, dc, n_start) over more elements than _COMPACT_MIN in every case."""
+    rng = np.random.default_rng(26)
+    # a ballistic block's couplings: Gaussian envelope times |standing wave|
+    y, x = rng.uniform(-3.0, 3.0, (2, 5000))
+    g = transit_cavity.g_max * np.exp(-y * y) * np.abs(np.cos(x))
+    g2, e2, kap, da, dc = _scaled(atom, transit_cavity, g, 10e6)
+    # warm from the couplings one step before, as the recoil stepper starts
+    g_before = transit_cavity.g_max * np.exp(-(y - 0.01) ** 2) * np.abs(np.cos(x))
+    n_before = _lower_branch(*_scaled(atom, transit_cavity, g_before, 10e6))
+    # an array e2 that broadcasts against g2, across narrow_cavity's fold,
+    # where _may_be_bistable sends elements to the scalar solver
+    g_grid = narrow_cavity.g_max * np.linspace(0.05, 1.0, 80)[:, None]
+    j_grid = np.logspace(6, 9.5, 90)
+    # warm from the roots themselves, a third of them moved: fewer than half
+    # iterate at the first evaluation, so the start array itself is compacted
+    n_moved = _lower_branch(g2, e2, kap, da, dc) * np.where(rng.random(5000) < 0.3, 1.5, 1.0)
+    return {
+        "ballistic": (g2, e2, kap, da, dc, None),
+        "warm": (g2, e2, kap, da, dc, n_before),
+        "warm, mostly converged": (g2, e2, kap, da, dc, n_moved),
+        "array e2": (*_scaled(atom, narrow_cavity, g_grid, j_grid), None),
+        "scalar g2, array e2": (*_scaled(atom, transit_cavity, 9 * MHZ, np.logspace(5, 9, 6000)), None),
+    }
+
+
+COMPACT_MIN = steady_state._COMPACT_MIN
+
+
+@pytest.mark.parametrize("compact_min", [1, COMPACT_MIN, 10**9])
+@pytest.mark.parametrize("track_iters", [steady_state._TRACK_ITERS, 3])
+def test_lower_branch_matches_the_masked_newton_oracle_bitwise(
+    monkeypatch, atom, narrow_cavity, transit_cavity, compact_min, track_iters
+):
+    # 1 compacts every array once fewer than half its elements iterate, the
+    # default only the large ones, 10**9 none; with 3 Newton iterations many
+    # elements never converge and take the scalar solver's root
+    monkeypatch.setattr(steady_state, "_COMPACT_MIN", compact_min)
+    monkeypatch.setattr(steady_state, "_TRACK_ITERS", track_iters)
+    cases = _lower_branch_cases(atom, narrow_cavity, transit_cavity)
+    gathered, gather = [], steady_state._gather
+    monkeypatch.setattr(
+        steady_state, "_gather", lambda *args: gathered.append(1) or gather(*args)
+    )
+    scalar_calls, scalar = [], steady_state._roots_scaled
+    monkeypatch.setattr(
+        steady_state, "_roots_scaled", lambda *args: scalar_calls.append(1) or scalar(*args)
+    )
+    for name, (g2, e2, kap, da, dc, n_start) in cases.items():
+        assert np.broadcast(g2, e2).size > COMPACT_MIN
+        start = None if n_start is None else n_start.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = _lower_branch(g2, e2, kap, da, dc, n_start)
+            expected = lower_branch(g2, e2, kap, da, dc, n_start)
+        assert got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name
+        assert n_start is None or n_start.tobytes() == start.tobytes(), name
+    assert bool(gathered) == (compact_min <= COMPACT_MIN)
+    assert scalar_calls  # the bistable fallback, and with 3 iterations the unconverged
 
 
 def test_one_root_where_the_discriminant_rounds_to_zero(atom):

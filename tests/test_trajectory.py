@@ -1,4 +1,5 @@
 """Transit Monte Carlo: kinematics, click statistics, detection, determinism."""
+import copy
 import math
 import warnings
 from dataclasses import replace
@@ -34,7 +35,7 @@ from cavdet import (
 )
 from cavdet import steady_state, trajectory_sim
 from cavdet.trajectory_sim import _poisson_times
-from oracles import empty_photons
+from oracles import empty_photons, first_detection, lower_branch, record
 
 US_ = 1e-6
 
@@ -374,6 +375,68 @@ def test_trajectory_does_not_depend_on_its_block(
             atom, transit_cavity, transit_drive, guide, sim, [trajectory_rng(3, i)]
         )[0]
         assert _same_record(alone, sinks[0][i])
+
+
+@pytest.mark.parametrize(
+    "include_recoil, velocity, threshold, min_dip",
+    [
+        # detections and atoms without one
+        (False, 0.4, 11, 3 * US),
+        (True, 0.4, 11, 3 * US),
+        # fast atoms: several atoms' first events start outside PRESENCE_WAISTS
+        (False, 1.5, 18, 0.0),
+        (True, 1.5, 11, 3 * US),
+    ],
+)
+@pytest.mark.parametrize("compact_min", [1, steady_state._COMPACT_MIN])
+def test_block_records_match_the_per_atom_oracle_bitwise(
+    monkeypatch, atom, transit_cavity, transit_drive, include_recoil, velocity, threshold, min_dip,
+    compact_min,
+):
+    # 11 atoms: two full slices of _RECORD_ATOMS and a partial one; a
+    # ballistic block solves 11 x 1,201 couplings, above _COMPACT_MIN, and
+    # at 1 the recoil stepper's 11-element solves are compacted as well
+    monkeypatch.setattr(steady_state, "_COMPACT_MIN", compact_min)
+    sim = SimConfig(
+        seed=5, n_atoms=11, duration=60 * US, include_recoil=include_recoil,
+        threshold=threshold, min_dip=min_dip, dark_windows=10,
+    )
+    assert 11 % trajectory_sim._RECORD_ATOMS
+    blocks, records_of = [], trajectory_sim._records
+
+    def spy(times, position, n_t, rho11_t, gam, cavity, sim, rngs):
+        blocks.append((times, position, n_t, rho11_t, gam, copy.deepcopy(rngs)))
+        return records_of(times, position, n_t, rho11_t, gam, cavity, sim, rngs)
+
+    monkeypatch.setattr(trajectory_sim, "_records", spy)
+    rngs = [trajectory_rng(sim.seed, i) for i in range(11)]
+    guide = GuideParams(mean_velocity=velocity)
+    got = simulate_block(atom, transit_cavity, transit_drive, guide, sim, rngs)
+    ((times, position, n_t, rho11_t, gam, twins),) = blocks
+    expected = [
+        record(times, position[j], n_t[j], rho11_t[j], gam, transit_cavity, sim, twins[j])
+        for j in range(11)
+    ]
+    for a, b in zip(got, expected):
+        assert _same_record(a, b)
+        assert a.n_photons.tobytes() == b.n_photons.tobytes()
+        assert a.click_times.tobytes() == b.click_times.tobytes()
+        assert a.m_scattered.hex() == b.m_scattered.hex()
+    # each atom drew exactly the clicks its own generator gave the oracle
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in twins]
+    hits = trajectory_sim._first_detections(got, transit_cavity, sim)
+    assert hits == [first_detection(r, transit_cavity, sim) for r in expected]
+    assert any(h is not None for h in hits)
+    if not include_recoil:
+        g2, e2, kap, da, dc = steady_state._scaled(
+            atom, transit_cavity, local_coupling(position, transit_cavity, atom), transit_drive.j_in
+        )
+        assert n_t.tobytes() == lower_branch(g2, e2, kap, da, dc).tobytes()
+    # and every record is the one the uncompacted masked loop gives
+    monkeypatch.setattr(steady_state, "_COMPACT_MIN", 10**9)
+    rngs = [trajectory_rng(sim.seed, i) for i in range(11)]
+    uncompacted = simulate_block(atom, transit_cavity, transit_drive, guide, sim, rngs)
+    assert all(_same_record(a, b) for a, b in zip(got, uncompacted))
 
 
 def test_ballistic_record_does_not_depend_on_its_block(

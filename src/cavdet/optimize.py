@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoMaximumInBounds
-from .steady_state import _BRACKET_ITERS, _bracketed_root, _cubic_coeffs, _residual_scaled, _scaled
+from .steady_state import _BRACKET_ITERS, _bracketed_root, _cubic_coeffs, _s_curve, _scaled
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of the larger part
 _POLISH_RTOL = 1e-8  # the polish's rel_tol in ln(N/N_lo): about 5e-7 in ln N at saturation
@@ -27,6 +27,13 @@ _MAX_ITER = 200  # golden_max's step limit
 _KAPPA_T_RTOL = 1e-4  # golden_max's rel_tol for the kappa_t search, in log kappa_t
 _N_LOW, _N_DECADES = 1e-10, 16  # best_pump's N: 1e-10 to 1e6 saturation photon numbers
 _PER_DECADE = 20  # best_pump's scan points per decade of N
+
+
+# best_pump's scan grid t = ln(N/N_lo) and exp(t), built once per process
+# and read-only, so a scan is one multiply and no caller can alter the grid
+_T_GRID = np.linspace(0.0, _N_DECADES * math.log(10.0), _N_DECADES * _PER_DECADE + 1)
+_EXP_T_GRID = np.exp(_T_GRID)
+_T_GRID.flags.writeable = _EXP_T_GRID.flags.writeable = False
 
 
 def golden_max(f, lo: float, hi: float, rel_tol: float):
@@ -174,19 +181,22 @@ def best_pump(snr, atom, cavity, tau: float) -> PumpOptimum:
     n_lo = _N_LOW * (da * da + 1.0) / (2.0 * g2) if g2 > 0 else math.inf
     if not math.isfinite(n_lo * 10.0**_N_DECADES):
         raise NoMaximumInBounds(f"the photon-number range from {n_lo:.6g} is not finite")
-    u = np.linspace(0.0, _N_DECADES * math.log(10.0), _N_DECADES * _PER_DECADE + 1)
     n_a = n_star = math.inf
     if folds := _folds(g2, kap, da, dc):
         n_a, n_b = folds
-        e2_a = _residual_scaled(n_a, g2, 0.0, kap, da, dc)[0]
+        e2_a = _s_curve(n_a, g2, kap, da, dc)
         cap = e2_a / (kap * kap)
         n_star = _bracketed_root(n_b, cap, cap, g2, e2_a, kap, da, dc)
     to_pump = atom.gamma**2 / cavity.kappa_t
-    pump = lambda n: _residual_scaled(n, g2, 0.0, kap, da, dc)[0] * to_pump  # j(N)
-    n = n_lo * np.exp(u)
+    pump = lambda n: _s_curve(n, g2, kap, da, dc) * to_pump  # j(N)
+    n = n_lo * _EXP_T_GRID
     s = snr(atom, cavity, pump(n), n, tau)
-    i = int(np.argmax(np.where(((n <= n_a) | (n >= n_star)) & (s == s), s, -np.inf)))
-    a, b = float(u[max(i - 1, 0)]), float(u[min(i + 1, u.size - 1)])
+    keep = s == s
+    if folds:
+        keep &= (n <= n_a) | (n >= n_star)
+    i = int(np.argmax(np.where(keep, s, -np.inf)))
+    last = _T_GRID.size - 1
+    a, b = float(_T_GRID[max(i - 1, 0)]), float(_T_GRID[min(i + 1, last)])
     if n[i] <= n_a:
         b = min(b, math.log(n_a / n_lo))
     else:
@@ -196,9 +206,9 @@ def best_pump(snr, atom, cavity, tau: float) -> PumpOptimum:
         n_t = n_lo * math.exp(t)
         return float(snr(atom, cavity, pump(n_t), n_t, tau))
 
-    start = float(u[i])
+    start = float(_T_GRID[i])
     s_start = polish(start)
-    if i in (0, u.size - 1):
+    if i in (0, last):
         # a range end: polish only if S does not fall one tolerance inside it
         inside = _POLISH_RTOL * (abs(a) + abs(b))
         start = a + inside if i == 0 else b - inside

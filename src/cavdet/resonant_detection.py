@@ -83,11 +83,14 @@ def _detected_photons(n, cavity: CavityParams, tau: float):
 def _intensity_snr(n_out_empty, n_out_atom):
     """S = (N_out,0 - N_out)/sqrt(N_out), and 0 where no photon is detected.
 
-    Takes floats or arrays; the masks multiply by one and add zero on every
-    lit element, so its arithmetic is that of the plain quotient.
+    Takes floats or arrays, N_out >= 0; the masks multiply by one and add
+    zero on every lit element, so its arithmetic is that of the plain
+    quotient.  A float N_out is scored with math.sqrt, which rounds as
+    np.sqrt does, and gives a float.
     """
+    sqrt = np.sqrt if isinstance(n_out_atom, np.ndarray) else math.sqrt
     lit = n_out_atom > 0
-    return (n_out_empty - n_out_atom) * lit / np.sqrt(n_out_atom + (n_out_atom <= 0))
+    return (n_out_empty - n_out_atom) * lit / sqrt(n_out_atom + (n_out_atom <= 0))
 
 
 def _empty_photons(cavity: CavityParams, j: float) -> float:

@@ -83,6 +83,18 @@ def _cubic_coeffs(g2, e2, kap, da, dc):
     return c3, c2, c1, c0
 
 
+def _s_curve(n, g2, kap, da, dc):
+    """The scaled pump e2(N) that holds N photons, the S-curve; floats or arrays.
+
+    _residual_scaled's f is e2(N) - e2 by the same operations in the same
+    order; this form skips f'.
+    """
+    d = da * da + 1.0 + 2.0 * g2 * n
+    ka = kap + g2 / d
+    dd = dc - g2 * da / d
+    return n * (ka * ka + dd * dd)
+
+
 def _residual_scaled(n, g2, e2, kap, da, dc):
     """Scaled residual f(N) and derivative f'(N) of the implicit equation."""
     d = da * da + 1.0 + 2.0 * g2 * n
@@ -218,7 +230,7 @@ def _roots_scaled(g2, e2, kap, da, dc):
         ends = [0.0, *crit, cap]
         signs = [-1]
         for x in crit:
-            f = _residual_scaled(x, g2, e2, kap, da, dc)[0]
+            f = _s_curve(x, g2, kap, da, dc) - e2
             signs.append(1 if f > 0.0 else -1 if f < 0.0 else 0)
         signs.append(1)
         last = len(crit)

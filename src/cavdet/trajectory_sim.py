@@ -53,6 +53,13 @@ _MAX_STEPS = 10**5
 # click while they are sorted, 1.6 GB here; the shipped configs expect
 # at most 2 million
 _MAX_DARK_CLICKS = 10**8
+# most window counts held at once: 24 B each at the measured peak (a start
+# and a count in the dark stream; two edge positions and a count per atom
+# in a block's records), so 2.4 GB.  A block holds BLOCK_ATOMS transits'
+# windows, so one transit may have _MAX_WINDOWS // BLOCK_ATOMS = 195,312.
+# The shipped configs take 93 per transit and 160,000 in the dark stream
+_MAX_WINDOWS = 10**8
+_MAX_TRANSIT_WINDOWS = _MAX_WINDOWS // BLOCK_ATOMS
 
 
 @dataclass(frozen=True)
@@ -115,6 +122,19 @@ class SimConfig:
             raise ConfigError(f"sim.n_atoms must be at most {_MAX_ATOMS}, got {self.n_atoms}")
         if self.dark_windows < 1:
             raise ConfigError("sim.dark_windows must be at least 1")
+        stride = f"sim.stride_us={self.stride / US:.6g}"
+        per_transit = _window_count(self.window, self.stride, self.duration)
+        if per_transit > _MAX_TRANSIT_WINDOWS:
+            raise ConfigError(
+                f"{stride} makes {per_transit:.6g} windows per transit; "
+                f"at most {_MAX_TRANSIT_WINDOWS} are counted"
+            )
+        dark = _window_count(self.window, self.stride, self.dark_windows * self.window)
+        if dark > _MAX_WINDOWS:
+            raise ConfigError(
+                f"sim.dark_windows={self.dark_windows} at {stride} makes {dark:.6g} "
+                f"dark-stream windows; at most {_MAX_WINDOWS} are counted"
+            )
 
 
 @dataclass(frozen=True)
@@ -195,9 +215,18 @@ def local_coupling(position, cavity: CavityParams, atom: AtomParams):
     return float(g) if p.ndim == 1 else g
 
 
+def _window_count(window: float, stride: float, duration: float) -> int | float:
+    """Number of sliding windows [t, t + window), stride apart from 0 to duration - window.
+
+    inf where the count leaves the float range.
+    """
+    last = (duration - window) / stride + 1e-9
+    return math.floor(last) + 1 if math.isfinite(last) else math.inf
+
+
 def _window_starts(window: float, stride: float, duration: float) -> np.ndarray:
     """Starts of the sliding windows [t, t + window), stride apart from 0 to duration - window."""
-    n_windows = int(math.floor((duration - window) / stride + 1e-9)) + 1
+    n_windows = _window_count(window, stride, duration)
     if n_windows < 1:
         raise ValueError("duration shorter than one window")
     return np.arange(n_windows) * stride

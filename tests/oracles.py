@@ -5,19 +5,39 @@ the oracle of the stationary solver.  diffusion_coefficient is the paper's
 momentum diffusion D(z), whose axial mean is motion.spatial_averages'
 D_bar.  empty_photons is the empty cavity's photon number.  lower_branch,
 record and first_detection are the element-by-element and atom-by-atom
-forms of the batched solver and the block records: the package must match
-them bit for bit.
+forms of the batched solver and the block records, and best_pump, with
+the scheme functions intensity_snr_from_n and homodyne_snr_from_n, is the
+pump optimizer with its scan grid built per call and every S scored by
+numpy: the package must match them bit for bit.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from cavdet import AtomParams, CavityParams, DriveParams, StepTooLarge, steady_state
+from cavdet import (
+    AtomParams,
+    CavityParams,
+    DriveParams,
+    NoMaximumInBounds,
+    PumpOptimum,
+    StepTooLarge,
+    steady_state,
+)
 from cavdet.motion import _warn_if_saturated
+from cavdet.optimize import _N_DECADES, _N_LOW, _PER_DECADE, _POLISH_RTOL, _brent, _folds
 from cavdet.params import HBAR
-from cavdet.resonant_detection import _detected_rate, check_resonant
-from cavdet.steady_state import _may_be_bistable, _roots_scaled, _two_limits, _unconverged
+from cavdet.resonant_detection import _counts, _detected_photons, _detected_rate, check_resonant
+from cavdet.steady_state import (
+    _atom_response,
+    _bracketed_root,
+    _may_be_bistable,
+    _residual_scaled,
+    _roots_scaled,
+    _scaled,
+    _two_limits,
+    _unconverged,
+)
 from cavdet.trajectory_sim import PRESENCE_WAISTS, TrajectoryRecord
 
 
@@ -210,3 +230,59 @@ def first_detection(record: TrajectoryRecord, cavity: CavityParams, sim) -> floa
     y_at = np.interp(events, record.times, record.position[:, 1])
     good = events[np.abs(y_at) <= PRESENCE_WAISTS * cavity.waist]
     return float(good[0]) if good.size else None
+
+
+def intensity_snr_from_n(atom: AtomParams, cavity: CavityParams, j, n, tau: float):
+    """The resonant S from (j, n), its square root taken by numpy for floats too."""
+    n_out_empty, n_out_atom = _counts(cavity, j, n, tau)
+    lit = n_out_atom > 0
+    return (n_out_empty - n_out_atom) * lit / np.sqrt(n_out_atom + (n_out_atom <= 0))
+
+
+def homodyne_snr_from_n(atom: AtomParams, cavity: CavityParams, j, n, tau: float):
+    """The homodyne S from n, its square root and sine taken by numpy for floats too."""
+    phi = -_atom_response(n, cavity.g_max, atom)[2] / cavity.kappa
+    return 2.0 * np.sqrt(_detected_photons(n, cavity, tau)) * abs(np.sin(phi))
+
+
+def best_pump(snr, atom: AtomParams, cavity: CavityParams, tau: float) -> PumpOptimum:
+    """optimize.best_pump with its scan grid built at each call and j(N) from _residual_scaled."""
+    if cavity.g_max == 0:
+        raise NoMaximumInBounds("S is 0 at every pump rate when g_max = 0")
+    g2, _, kap, da, dc = _scaled(atom, cavity, cavity.g_max, 0.0)
+    n_lo = _N_LOW * (da * da + 1.0) / (2.0 * g2) if g2 > 0 else math.inf
+    if not math.isfinite(n_lo * 10.0**_N_DECADES):
+        raise NoMaximumInBounds(f"the photon-number range from {n_lo:.6g} is not finite")
+    u = np.linspace(0.0, _N_DECADES * math.log(10.0), _N_DECADES * _PER_DECADE + 1)
+    n_a = n_star = math.inf
+    if folds := _folds(g2, kap, da, dc):
+        n_a, n_b = folds
+        e2_a = _residual_scaled(n_a, g2, 0.0, kap, da, dc)[0]
+        cap = e2_a / (kap * kap)
+        n_star = _bracketed_root(n_b, cap, cap, g2, e2_a, kap, da, dc)
+    to_pump = atom.gamma**2 / cavity.kappa_t
+    pump = lambda n: _residual_scaled(n, g2, 0.0, kap, da, dc)[0] * to_pump
+    n = n_lo * np.exp(u)
+    s = snr(atom, cavity, pump(n), n, tau)
+    i = int(np.argmax(np.where(((n <= n_a) | (n >= n_star)) & (s == s), s, -np.inf)))
+    a, b = float(u[max(i - 1, 0)]), float(u[min(i + 1, u.size - 1)])
+    if n[i] <= n_a:
+        b = min(b, math.log(n_a / n_lo))
+    else:
+        a = max(a, math.log(n_star / n_lo))
+
+    def polish(t):
+        n_t = n_lo * math.exp(t)
+        return float(snr(atom, cavity, pump(n_t), n_t, tau))
+
+    start = float(u[i])
+    s_start = polish(start)
+    if i in (0, u.size - 1):
+        inside = _POLISH_RTOL * (abs(a) + abs(b))
+        start = a + inside if i == 0 else b - inside
+        s_end, s_start = s_start, polish(start)
+        if not s_start >= s_end:
+            end = "high" if i else "low"
+            raise NoMaximumInBounds(f"S rises towards the {end} end of the photon-number range")
+    t, s_best = _brent(polish, a, b, start, s_start, _POLISH_RTOL)
+    return PumpOptimum(pump(n_lo * math.exp(t)), s_best)

@@ -743,6 +743,61 @@ def test_cli_simulate_rejects_a_run_past_its_size_caps(tmp_path, capsys, monkeyp
     assert not (out / "report.json").exists() and not (out / "trajectories.csv").exists()
 
 
+def _stride_for(windows, window, duration):
+    # the stride that fits exactly this many windows into duration
+    stride = (duration - window) / (windows - 1)
+    assert trajectory_sim._window_count(window, stride, duration) == windows
+    return stride
+
+
+def test_sim_config_bounds_the_window_counts():
+    cap, window, duration = trajectory_sim._MAX_TRANSIT_WINDOWS, 8 * US, 100 * US
+    SimConfig(stride=_stride_for(cap, window, duration), dark_windows=1)
+    with pytest.raises(ConfigError, match=f"sim.stride_us=.* makes {cap + 1} windows per transit"):
+        SimConfig(stride=_stride_for(cap + 1, window, duration), dark_windows=1)
+    # with the stride one window, the dark stream has dark_windows windows
+    cap = trajectory_sim._MAX_WINDOWS
+    assert _stride_for(cap, window, cap * window) == window
+    SimConfig(stride=window, dark_windows=cap)
+    with pytest.raises(ConfigError, match=f"sim.dark_windows={cap + 1} at sim.stride_us=8 makes"):
+        SimConfig(stride=window, dark_windows=cap + 1)
+
+
+def test_window_counts_are_bounded_before_any_window_exists(monkeypatch):
+    def no_windows(window, stride, duration):
+        raise AssertionError("windows were laid out before their count was checked")
+
+    monkeypatch.setattr(trajectory_sim, "_window_starts", no_windows)
+    cfg = load_config(TRANSIT)
+    with pytest.raises(ConfigError, match="windows per transit"):
+        replace(cfg.sim, stride=1e-15)
+    with pytest.raises(ConfigError, match="dark-stream windows"):
+        replace(cfg.sim, stride=cfg.sim.window, dark_windows=trajectory_sim._MAX_WINDOWS + 1)
+    # at the dark cap a dim pump expects 2,000 clicks over the 800 s stream,
+    # which gets as far as laying out its windows
+    sim = replace(cfg.sim, stride=cfg.sim.window, dark_windows=trajectory_sim._MAX_WINDOWS)
+    with pytest.raises(AssertionError, match="laid out before"):
+        dark_rates(cfg.cavity, replace(cfg.drive, j_in=1e-6 * cfg.drive.j_in), sim)
+
+
+@pytest.mark.parametrize(
+    "sim, name",
+    [
+        ({"stride_us": 1e-9}, "sim.stride_us"),
+        ({"stride_us": 8.0, "dark_windows": trajectory_sim._MAX_WINDOWS + 1}, "sim.dark_windows"),
+    ],
+)
+def test_cli_simulate_rejects_a_window_count_past_its_cap(tmp_path, capsys, monkeypatch, sim, name):
+    monkeypatch.setattr(trajectory_sim, "_window_starts", None)
+    out = tmp_path / "out"
+    config = _transit_config(tmp_path, **sim)
+    assert run(["simulate", "--config", config, "--atoms", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name}")
+    assert err.count("\n") == 1
+    assert not (out / "report.json").exists()
+
+
 def test_cli_simulate_streamed_rows_match_per_value_format(tmp_path):
     # reference: one _fmt call per value, as the rows were built before streaming
     out = tmp_path / "sim"

@@ -133,7 +133,6 @@ def _cmd_steady(args) -> int:
         "light_shift_mhz": state.light_shift / MHZ,
         "branch_count": state.branch_count,
         "all_roots": list(state.all_roots),
-        # the detected count at the lower root, with no g = 0 rule (unlike _counts)
         "n_out": _detected_photons(state.n_photons, cfg.cavity, tau),
         "n_out_empty": _detected_photons(n_empty, cfg.cavity, tau),
     }

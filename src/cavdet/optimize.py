@@ -3,8 +3,8 @@
 golden_max is Brent's method (parabolic steps, golden-section fallback).
 best_pump is the one pump optimizer of both detection schemes, and
 max_over_kappa_t runs golden_max over log kappa_t on it.  A scheme enters
-them as one plain function, its S from the pump rate and the lower-branch
-photon number, snr(atom, cavity, j, n, tau) for floats and arrays.
+them as one plain function, its S from the lower-branch photon number,
+snr(atom, cavity, n, tau) for floats and arrays.
 best_pump needs no root solve: the pump that holds N photons is explicit,
 e2(N) = N*[(kappa + gamma(N))^2 + (delta_c - U(N))^2] (Gamma-scaled), the
 S-curve of optical bistability (Lugiato, Prog. Opt. 21, 69 (1984)), so it
@@ -152,18 +152,20 @@ class PumpOptimum(NamedTuple):
 def best_pump(snr, atom, cavity, tau: float) -> PumpOptimum:
     """The best pump rate of one detection scheme and its S, without a root solve.
 
-    snr(atom, cavity, j, n, tau) is the scheme's S at pump rate j and
-    lower-branch photon number n at g_max, for floats and arrays.  Both are
-    explicit along j(N) = e2(N)*Gamma^2/kappa_t, so S is scanned over
-    _N_DECADES decades of N up from _N_LOW times the saturation photon
-    number (delta_a^2 + Gamma^2)/(2*g^2), _PER_DECADE points per decade.
+    snr(atom, cavity, n, tau) is the scheme's S at lower-branch photon
+    number n at g_max, for floats and arrays; the pump that holds n,
+    j(N) = e2(N)*Gamma^2/kappa_t, is taken once, for the returned j_in.
+    S is scanned over _N_DECADES decades of N up from _N_LOW times the
+    saturation photon number (delta_a^2 + Gamma^2)/(2*g^2), _PER_DECADE
+    points per decade.
     The scan keeps the lower branch, N <= N_a or N >= N*, where N_a < N_b
     are the folds (_folds) and N* > N_b holds the pump e2(N_a).  Brent's
     method polishes its best point in t = ln(N/N_lo), from N_lo the range's
     low end, within one scan step and the branch, to a bracket
     _POLISH_RTOL*(|a| + |b|) wide.  Every point it scores lies inside a
     piece of the branch, so the lower root at the returned j_in is its N,
-    and S is the report's S there.  Where the best scan point is an end of
+    and the report there, which solves that root again, gives S to 1e-14
+    relative away from a fold.  Where the best scan point is an end of
     the N range, S is scored once, one polish tolerance inside it: unless
     S there is at least S at the end, NoMaximumInBounds names the end, else
     the polish starts there, so a maximum inside an end's scan step is
@@ -187,10 +189,8 @@ def best_pump(snr, atom, cavity, tau: float) -> PumpOptimum:
         e2_a = _s_curve(n_a, g2, kap, da, dc)
         cap = e2_a / (kap * kap)
         n_star = _bracketed_root(n_b, cap, cap, g2, e2_a, kap, da, dc)
-    to_pump = atom.gamma**2 / cavity.kappa_t
-    pump = lambda n: _s_curve(n, g2, kap, da, dc) * to_pump  # j(N)
     n = n_lo * _EXP_T_GRID
-    s = snr(atom, cavity, pump(n), n, tau)
+    s = snr(atom, cavity, n, tau)
     keep = s == s
     if folds:
         keep &= (n <= n_a) | (n >= n_star)
@@ -203,8 +203,7 @@ def best_pump(snr, atom, cavity, tau: float) -> PumpOptimum:
         a = max(a, math.log(n_star / n_lo))
 
     def polish(t):
-        n_t = n_lo * math.exp(t)
-        return float(snr(atom, cavity, pump(n_t), n_t, tau))
+        return float(snr(atom, cavity, n_lo * math.exp(t), tau))
 
     start = float(_T_GRID[i])
     s_start = polish(start)
@@ -217,7 +216,8 @@ def best_pump(snr, atom, cavity, tau: float) -> PumpOptimum:
             end = "high" if i else "low"
             raise NoMaximumInBounds(f"S rises towards the {end} end of the photon-number range")
     t, s_best = _brent(polish, a, b, start, s_start, _POLISH_RTOL)
-    return PumpOptimum(pump(n_lo * math.exp(t)), s_best)
+    j_in = _s_curve(n_lo * math.exp(t), g2, kap, da, dc) * (atom.gamma**2 / cavity.kappa_t)
+    return PumpOptimum(j_in, s_best)
 
 
 @dataclass(frozen=True)

@@ -109,9 +109,9 @@ class CavityParams:
 class DriveParams:
     """Pump photon flux j_in (photons/s) and integration time tau (s).
 
-    The pump amplitude eta = sqrt(j_in * kappa_t) is never stored: the
-    solver takes eta^2 = j_in * kappa_t (steady_state._scaled) and the empty
-    cavity's photon number takes eta (resonant_detection._empty_photons).
+    Only eta^2 = j_in * kappa_t enters, never the pump amplitude eta: the
+    solver takes it (steady_state._scaled), and so does the empty cavity's
+    photon number (resonant_detection._empty_photons).
     """
 
     j_in: float

@@ -5,6 +5,14 @@ compares against the empty-cavity level; shot noise sets the denominator,
 
     S = (N_out,0 - N_out) / sqrt(N_out),    N_out = N * kappa_t * tau.
 
+The difference is the atom's explicit share of the damping gamma and the
+light shift U at N,
+
+    N_out,0 - N_out = N_out*[gamma*(2*kappa + gamma) + U*(U - 2*delta_c)]/(kappa^2 + delta_c^2),
+
+so S is a function of N alone: it keeps its digits at weak coupling and is
+0 at g_max = 0.
+
 The scattering budget M = 2*Gamma*tau*rho11 counts spontaneous emissions
 during the measurement.  Closed-form low- and high-saturation limits are
 exposed alongside the full nonlinear solve; only the full solve is
@@ -80,37 +88,9 @@ def _detected_photons(n, cavity: CavityParams, tau: float):
     return _detected_rate(n, cavity) * tau
 
 
-def _intensity_snr(n_out_empty, n_out_atom):
-    """S = (N_out,0 - N_out)/sqrt(N_out), and 0 where no photon is detected.
-
-    Takes floats or arrays, N_out >= 0; the masks multiply by one and add
-    zero on every lit element, so its arithmetic is that of the plain
-    quotient.  A float N_out is scored with math.sqrt, which rounds as
-    np.sqrt does, and gives a float.
-    """
-    sqrt = np.sqrt if isinstance(n_out_atom, np.ndarray) else math.sqrt
-    lit = n_out_atom > 0
-    return (n_out_empty - n_out_atom) * lit / sqrt(n_out_atom + (n_out_atom <= 0))
-
-
-def _empty_photons(cavity: CavityParams, j: float) -> float:
-    """Photon number |eta/(kappa - i*delta_c)|^2 of the empty cavity at pump rate j."""
-    return abs(math.sqrt(j * cavity.kappa_t) / (cavity.kappa - 1j * cavity.delta_c)) ** 2
-
-
-def _counts(cavity: CavityParams, j, n, tau: float):
-    """Detected photons (N_out,0, N_out) at pump rate j and photon number n; floats or arrays.
-
-    A float j takes _empty_photons, which steady and the dark stream use;
-    numpy's complex division rounds unlike Python's, so an array j takes
-    eta^2/(kappa^2 + delta_c^2).  At g_max = 0 N_out is N_out,0.
-    """
-    if isinstance(j, np.ndarray):
-        n_empty = j * cavity.kappa_t / (cavity.kappa**2 + cavity.delta_c**2)
-    else:
-        n_empty = _empty_photons(cavity, j)
-    n_out_empty = _detected_photons(n_empty, cavity, tau)
-    return n_out_empty, n_out_empty if cavity.g_max == 0 else _detected_photons(n, cavity, tau)
+def _empty_photons(cavity: CavityParams, j):
+    """Empty-cavity photon number eta^2/(kappa^2 + delta_c^2) at pump rate j; floats or arrays."""
+    return j * cavity.kappa_t / (cavity.kappa**2 + cavity.delta_c**2)
 
 
 def _scattered(atom: AtomParams, cavity: CavityParams, n: float, tau: float) -> float:
@@ -122,14 +102,13 @@ def _scattered(atom: AtomParams, cavity: CavityParams, n: float, tau: float) -> 
 def intensity_report(atom: AtomParams, cavity: CavityParams, drive: DriveParams) -> ResonantReport:
     """Intensity observables at the lower root, S as _snr_from_n scores it; no resonance check.
 
-    Without coupling (g_max = 0) N_out is N_out,0 and S is 0 exactly.
+    Without coupling (g_max = 0) the atom's share, and so S, is 0 exactly.
     """
     n = stationary_photon_numbers(atom, cavity, drive)[0]
-    n_out_empty, n_out_atom = _counts(cavity, drive.j_in, n, drive.tau)
     return ResonantReport(
-        n_out_empty=n_out_empty,
-        n_out_atom=n_out_atom,
-        snr=float(_intensity_snr(n_out_empty, n_out_atom)),
+        n_out_empty=_detected_photons(_empty_photons(cavity, drive.j_in), cavity, drive.tau),
+        n_out_atom=_detected_photons(n, cavity, drive.tau),
+        snr=_snr_from_n(atom, cavity, n, drive.tau),
         m_scattered=_scattered(atom, cavity, n, drive.tau),
         saturation=2.0 * cavity.g_max * cavity.g_max * n / atom.gamma**2,
     )
@@ -191,19 +170,31 @@ def saturation_pump(atom: AtomParams, cavity: CavityParams) -> float:
     return atom.gamma**2 * cavity.kappa**2 / (2.0 * cavity.g_max**2 * cavity.kappa_t)
 
 
-def _snr_from_n(atom: AtomParams, cavity: CavityParams, j, n, tau: float):
-    """intensity_report's S at pump rate j, lower-branch photon number n; floats or arrays."""
-    return _intensity_snr(*_counts(cavity, j, n, tau))
+def _snr_from_n(atom: AtomParams, cavity: CavityParams, n, tau: float):
+    """intensity_report's S at lower-branch photon number n; floats or arrays.
+
+    N_out,0 - N_out is the atom's share (see the module docstring): the
+    pump that holds n photons is eta^2 = n*[(kappa + gamma)^2 + (delta_c - U)^2],
+    gamma and U at n and g_max, and the empty cavity holds
+    eta^2/(kappa^2 + delta_c^2).  A float n is scored with math.sqrt, which
+    rounds as np.sqrt does, and gives a float.
+    """
+    _, gamma, u = _atom_response(n, cavity.g_max, atom)
+    kappa, delta_c = cavity.kappa, cavity.delta_c
+    share = (gamma * (2.0 * kappa + gamma) + u * (u - 2.0 * delta_c)) / (kappa**2 + delta_c**2)
+    n_out = _detected_photons(n, cavity, tau)
+    return (np.sqrt if isinstance(n_out, np.ndarray) else math.sqrt)(n_out) * share
 
 
 def max_snr_over_pump(atom: AtomParams, cavity: CavityParams, tau: float) -> PumpOptimum:
     """Maximize the resonant SNR over the pump rate (see optimize.best_pump).
 
-    S is snr_resonant(...).snr at j_in, the same arithmetic.  On strongly
-    coupled cavities the optimum lies inside the bistable window, where the
-    semiclassical model is least trustworthy: at 338 times the saturation
-    pump of a g = 12 MHz, kappa_t = kappa_loss = 0.59 MHz cavity, the
-    optimum's S 616.5 is S 51 in the master equation.
+    S is explicit in N, so snr_resonant(...).snr at j_in, which solves
+    that N again, agrees with it to 1e-14 relative away from a fold.  On
+    strongly coupled cavities the optimum lies inside the bistable window,
+    where the semiclassical model is least trustworthy: at 338 times the
+    saturation pump of a g = 12 MHz, kappa_t = kappa_loss = 0.59 MHz
+    cavity, the optimum's S 616.5 is S 51 in the master equation.
     """
     check_resonant(atom, cavity)
     return best_pump(_snr_from_n, atom, cavity, tau)

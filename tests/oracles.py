@@ -8,10 +8,12 @@ record and first_detection are the element-by-element and atom-by-atom
 forms of the batched solver and the block records, and best_pump, with
 the scheme functions intensity_snr_from_n and homodyne_snr_from_n, is the
 pump optimizer with its scan grid built per call and every S scored by
-numpy: the package must match them bit for bit.
+numpy: the package must match them bit for bit.  exact_intensity_snr is
+the resonant S at a float photon number in rational arithmetic.
 """
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from cavdet import (
 from cavdet.motion import _warn_if_saturated
 from cavdet.optimize import _N_DECADES, _N_LOW, _PER_DECADE, _POLISH_RTOL, _brent, _folds
 from cavdet.params import HBAR
-from cavdet.resonant_detection import _counts, _detected_photons, _detected_rate, check_resonant
+from cavdet.resonant_detection import _detected_photons, _detected_rate, check_resonant
 from cavdet.steady_state import (
     _atom_response,
     _bracketed_root,
@@ -232,17 +234,44 @@ def first_detection(record: TrajectoryRecord, cavity: CavityParams, sim) -> floa
     return float(good[0]) if good.size else None
 
 
-def intensity_snr_from_n(atom: AtomParams, cavity: CavityParams, j, n, tau: float):
-    """The resonant S from (j, n), its square root taken by numpy for floats too."""
-    n_out_empty, n_out_atom = _counts(cavity, j, n, tau)
-    lit = n_out_atom > 0
-    return (n_out_empty - n_out_atom) * lit / np.sqrt(n_out_atom + (n_out_atom <= 0))
+def intensity_snr_from_n(atom: AtomParams, cavity: CavityParams, n, tau: float):
+    """The resonant S from n as the atom's share, its square root taken by numpy for floats too."""
+    _, gam, u = _atom_response(n, cavity.g_max, atom)
+    kap, dc = cavity.kappa, cavity.delta_c
+    share = (gam * (2.0 * kap + gam) + u * (u - 2.0 * dc)) / (kap**2 + dc**2)
+    return np.sqrt(_detected_photons(n, cavity, tau)) * share
 
 
-def homodyne_snr_from_n(atom: AtomParams, cavity: CavityParams, j, n, tau: float):
+def homodyne_snr_from_n(atom: AtomParams, cavity: CavityParams, n, tau: float):
     """The homodyne S from n, its square root and sine taken by numpy for floats too."""
     phi = -_atom_response(n, cavity.g_max, atom)[2] / cavity.kappa
     return 2.0 * np.sqrt(_detected_photons(n, cavity, tau)) * abs(np.sin(phi))
+
+
+def exact_intensity_snr(atom: AtomParams, cavity: CavityParams, n: float, tau: float) -> float:
+    """The resonant S at the float photon number n, from exact rational arithmetic.
+
+    Every rate and n are taken as the exact values of their floats.  The
+    pump that holds n is eta^2 = e2(n) = n*[(kappa + gamma)^2 + (delta_c - U)^2],
+    the empty cavity holds N_empty = eta^2/(kappa^2 + delta_c^2) at that
+    pump, and S = (N_out,0 - N_out)/sqrt(N_out) with N_out = n*kappa_t*tau,
+    twice that for an asymmetric input mirror.  N_empty - n is checked to
+    be the atom's share n*[gamma*(2*kappa + gamma) + U*(U - 2*delta_c)]/(kappa^2 + delta_c^2);
+    only the last square root is rounded.
+    """
+    g, gam0, da = Fraction(cavity.g_max), Fraction(atom.gamma), Fraction(atom.delta_a)
+    kap, dc, n = Fraction(cavity.kappa), Fraction(cavity.delta_c), Fraction(n)
+    d = da * da + gam0 * gam0 + 2 * g * g * n
+    gam, u = g * g * gam0 / d, g * g * da / d
+    e2 = n * ((kap + gam) ** 2 + (dc - u) ** 2)
+    n_empty = e2 / (kap * kap + dc * dc)
+    share = n * (gam * (2 * kap + gam) + u * (u - 2 * dc)) / (kap * kap + dc * dc)
+    assert n_empty - n == share
+    per_photon = Fraction(cavity.kappa_t) * Fraction(tau) * (2 if cavity.asymmetric_input else 1)
+    if n == 0:
+        return 0.0
+    # S = sqrt(per_photon/n)*share, of the sign of the share
+    return math.copysign(math.sqrt(per_photon * share * share / n), share)
 
 
 def best_pump(snr, atom: AtomParams, cavity: CavityParams, tau: float) -> PumpOptimum:
@@ -260,10 +289,8 @@ def best_pump(snr, atom: AtomParams, cavity: CavityParams, tau: float) -> PumpOp
         e2_a = _residual_scaled(n_a, g2, 0.0, kap, da, dc)[0]
         cap = e2_a / (kap * kap)
         n_star = _bracketed_root(n_b, cap, cap, g2, e2_a, kap, da, dc)
-    to_pump = atom.gamma**2 / cavity.kappa_t
-    pump = lambda n: _residual_scaled(n, g2, 0.0, kap, da, dc)[0] * to_pump
     n = n_lo * np.exp(u)
-    s = snr(atom, cavity, pump(n), n, tau)
+    s = snr(atom, cavity, n, tau)
     i = int(np.argmax(np.where(((n <= n_a) | (n >= n_star)) & (s == s), s, -np.inf)))
     a, b = float(u[max(i - 1, 0)]), float(u[min(i + 1, u.size - 1)])
     if n[i] <= n_a:
@@ -272,8 +299,7 @@ def best_pump(snr, atom: AtomParams, cavity: CavityParams, tau: float) -> PumpOp
         a = max(a, math.log(n_star / n_lo))
 
     def polish(t):
-        n_t = n_lo * math.exp(t)
-        return float(snr(atom, cavity, pump(n_t), n_t, tau))
+        return float(snr(atom, cavity, n_lo * math.exp(t), tau))
 
     start = float(u[i])
     s_start = polish(start)
@@ -285,4 +311,5 @@ def best_pump(snr, atom: AtomParams, cavity: CavityParams, tau: float) -> PumpOp
             end = "high" if i else "low"
             raise NoMaximumInBounds(f"S rises towards the {end} end of the photon-number range")
     t, s_best = _brent(polish, a, b, start, s_start, _POLISH_RTOL)
-    return PumpOptimum(pump(n_lo * math.exp(t)), s_best)
+    e2 = _residual_scaled(n_lo * math.exp(t), g2, 0.0, kap, da, dc)[0]
+    return PumpOptimum(e2 * (atom.gamma**2 / cavity.kappa_t), s_best)

@@ -260,7 +260,7 @@ def test_cli_missing_config_is_exit_2(tmp_path):
     assert run(["steady", "--config", str(tmp_path / "nope.json"), "--out", "x.json"]) == 2
 
 
-@pytest.mark.parametrize("config, g_frac", [(MAIN, None), (TRANSIT, None), (MAIN, 0.5)])
+@pytest.mark.parametrize("config, g_frac", [(MAIN, None), (TRANSIT, None), (MAIN, 0.5), (MAIN, 0.0)])
 def test_cli_steady_is_the_reports_arithmetic(tmp_path, monkeypatch, config, g_frac):
     # steady's photon numbers and counts are the report's, to the bit, and
     # the dark stream is lit by the same empty-cavity photon number

@@ -179,10 +179,11 @@ def test_optimal_kappa_t_homodyne_matches_loss(atom200, narrow_cavity):
 
 @pytest.mark.parametrize("asymmetric", [False, True])
 def test_snr_hom_is_zero_without_coupling(atom200, narrow_cavity, asymmetric):
-    # an uncoupled atom: N_out is N_out,0 to the bit, the intensity report's
-    # g = 0 rule, not the solver's root rounded apart from it; S is 0
+    # an uncoupled atom shifts nothing: phi is +0, not -0, and S is 0;
+    # N_out, the lower root's count, is N_out,0 to rounding
     cavity = replace(narrow_cavity, g_max=0.0, asymmetric_input=asymmetric)
     for j in (1e5, 3e6, 2e8):
         rep = homodyne_report(atom200, cavity, DriveParams(j, TAU))
-        assert rep.n_out == rep.n_out_empty
+        assert rep.n_out == pytest.approx(rep.n_out_empty, rel=1e-15, abs=0)
         assert rep.snr == 0.0 and rep.phase_shift == 0.0
+        assert math.copysign(1.0, rep.phase_shift) == 1.0

@@ -73,7 +73,7 @@ def _best_pump_on(f):
     """best_pump's (t, S) for S = f(t); t is where its returned S was scored."""
     scored = {}
 
-    def snr(atom, cavity, j, n, tau):
+    def snr(atom, cavity, n, tau):
         t = np.log(n / N_LO)
         value = f(t)
         if not isinstance(n, np.ndarray):

@@ -34,10 +34,11 @@ from cavdet import (
     optimal_kappa_t,
     optimal_kappa_t_homodyne,
     optimize,
+    stationary_photon_numbers,
 )
 from cavdet.homodyne_detection import _phase_and_snr, _snr_hom_from_n
-from cavdet.resonant_detection import _intensity_snr, _snr_from_n
-from cavdet.steady_state import _atom_response, _scaled
+from cavdet.resonant_detection import _snr_from_n
+from cavdet.steady_state import _atom_response, _residual_scaled, _scaled
 
 import oracles
 
@@ -71,7 +72,8 @@ def _cavities(seed, count):
         g = 10 ** rng.uniform(-1, 3) * MHZ
         yield AtomParams(delta_a=delta_a), CavityParams(g_max=g, kappa_t=kt, kappa_loss=kl)
     # about the finite-range limit: a range that overflows, an S that
-    # overflows or rises to the high end, and one S still finite
+    # overflows, and one S still finite (1.8e-141 resonant at factor 1e10:
+    # S falls as 1/sqrt(N) at the high end, so it never rises to it)
     for delta_a in (0.0, 200 * GAMMA):
         atom = AtomParams(delta_a=delta_a)
         for factor in (0.999, 1.001, 1e10):
@@ -115,11 +117,7 @@ def test_optimizers_equal_the_oracle(monkeypatch):
             assert kappa_t_opt == _outcome(optimize.max_over_kappa_t, oracle_snr, atom, cavity, TAU)
             raised += [r[1] for r in (pump_opt, kappa_t_opt) if type(r) is tuple]
     kinds = {re.sub(r" (near|from) .*", "", message) for message in raised}
-    assert kinds == {
-        "objective is not finite",
-        "the photon-number range",
-        "S rises towards the high end of the photon-number range",
-    }
+    assert kinds == {"objective is not finite", "the photon-number range"}
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -128,7 +126,7 @@ def test_a_range_end_raises_as_in_the_oracle(sign):
     # sqrt(N) at the low end and falls at the high end), so a monotone S
     # stands in for one
     atom, cavity = AtomParams(), CavityParams(g_max=12 * MHZ, kappa_t=3 * MHZ, kappa_loss=6 * MHZ)
-    snr = lambda atom, cavity, j, n, tau: sign * np.log(n)
+    snr = lambda atom, cavity, n, tau: sign * np.log(n)
     got = _outcome(optimize.best_pump, snr, atom, cavity, TAU)
     assert got == _outcome(oracles.best_pump, snr, atom, cavity, TAU)
     end = "high" if sign > 0 else "low"
@@ -136,9 +134,9 @@ def test_a_range_end_raises_as_in_the_oracle(sign):
 
 
 def _spy(snr, calls):
-    def spied(atom, cavity, j, n, tau):
+    def spied(atom, cavity, n, tau):
         calls.append(n.copy() if isinstance(n, np.ndarray) else n)
-        return snr(atom, cavity, j, n, tau)
+        return snr(atom, cavity, n, tau)
 
     return spied
 
@@ -164,6 +162,39 @@ def test_best_pump_scores_the_oracles_points(atom, cavity):
     assert np.array_equal(arrays[0], oracle_calls[0])
     assert calls[1:] == oracle_calls[1:]
     assert all(type(n) is float for n in calls[1:])
+
+
+# a weakly coupled resonant cavity, C = 0.0042, where S taken as a
+# difference of two counts would lose two digits
+WEAK_CAVITY = CavityParams(g_max=1.0 * MHZ, kappa_t=1.45 * MHZ, kappa_loss=77.2 * MHZ)
+
+
+def test_reports_at_the_optima_give_their_snr():
+    # the report at an optimum's j_in solves again the root the optimizer
+    # scored; S is explicit in N, so the two agree to rounding at every
+    # coupling wherever that root is well conditioned, its condition number
+    # |d ln N/d ln j| = e2/(N*de2/dN) at most 100.  Only homodyne optima at a
+    # fold of the lower branch are not, where the solver's residual
+    # tolerance leaves N uncertain by about its square root
+    draws = [(AtomParams(), WEAK_CAVITY), *list(_cavities(28, 320))[:320]]
+    checked, at_fold = 0, []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for atom, cavity in draws:
+            maximize = _schemes(atom)[0]
+            report = homodyne_report if atom.delta_a else intensity_report
+            opt = maximize(atom, cavity, TAU)
+            drive = DriveParams(opt.j_in, TAU)
+            n = stationary_photon_numbers(atom, cavity, drive)[0]
+            g2, _, kap, da, dc = _scaled(atom, cavity, cavity.g_max, 0.0)
+            e2, slope = _residual_scaled(n, g2, 0.0, kap, da, dc)
+            if abs(e2 / (n * slope)) > 100.0:
+                at_fold.append(atom)
+                continue
+            assert report(atom, cavity, drive).snr == pytest.approx(opt.snr, rel=1e-14, abs=0)
+            checked += 1
+    assert checked >= 300
+    assert len(at_fold) <= 5 and all(atom.delta_a for atom in at_fold)
 
 
 def test_kappa_t_search_builds_no_grid(monkeypatch, main_cavity):
@@ -193,16 +224,33 @@ PHOTONS = st.floats(min_value=0.0, max_value=1e12)
 
 
 @settings(max_examples=200, deadline=None)
-@given(n_empty=PHOTONS, n_out=PHOTONS, at=st.integers(0, 32))
-@example(3.0, 0.0, 0)
-@example(0.0, 0.0, 5)
-def test_intensity_snr_of_a_float_is_that_of_the_array_element(n_empty, n_out, at):
-    rng = np.random.default_rng(at)
-    empty, out = rng.uniform(0.0, 1e3, (2, 33))
-    empty[at], out[at] = n_empty, n_out
-    s = _intensity_snr(n_empty, n_out)
+@given(
+    g=st.floats(min_value=0.0, max_value=1e3),
+    n=st.floats(min_value=0.0, max_value=1e9),
+    kappa_t=st.floats(min_value=1e-2, max_value=1e3),
+    kappa_loss=st.floats(min_value=0.0, max_value=1e3),
+    delta_c=st.floats(min_value=-1e3, max_value=1e3),
+    asymmetric=st.booleans(),
+    at=st.integers(0, 32),
+)
+@example(12.0, 0.0, 3.0, 6.0, 0.0, False, 0)
+@example(0.0, 1.0, 3.0, 6.0, 2.0, True, 5)
+def test_snr_from_n_of_a_float_is_that_of_the_array_element(
+    g, n, kappa_t, kappa_loss, delta_c, asymmetric, at
+):
+    # rates in MHz; N = 0 detects no photon, g = 0 gives the atom no share
+    cavity = CavityParams(
+        g_max=g * MHZ,
+        kappa_t=kappa_t * MHZ,
+        kappa_loss=kappa_loss * MHZ,
+        delta_c=delta_c * MHZ,
+        asymmetric_input=asymmetric,
+    )
+    photons = np.random.default_rng(at).uniform(0.0, 1e3, 33)
+    photons[at] = n
+    s = _snr_from_n(AtomParams(), cavity, n, TAU)
     assert type(s) is float
-    assert _bits(s) == _bits(_intensity_snr(empty, out)[at])
+    assert _bits(s) == _bits(_snr_from_n(AtomParams(), cavity, photons, TAU)[at])
 
 
 @settings(max_examples=200, deadline=None)

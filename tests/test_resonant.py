@@ -1,9 +1,11 @@
 """Resonant-detection figures of merit: frozen pins, limits, optimizers."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cavdet import (
     MHZ,
@@ -28,7 +30,7 @@ from cavdet import (
     stationary_photon_numbers,
 )
 from cavdet import resonant_detection, steady_state
-from oracles import empty_photons
+from oracles import empty_photons, exact_intensity_snr
 
 TAU = 10 * US
 
@@ -165,8 +167,10 @@ def test_pump_scan_is_unimodal(atom, main_cavity):
 def test_max_snr_over_pump(atom, main_cavity):
     opt = max_snr_over_pump(atom, main_cavity, TAU)
     assert opt.snr == pytest.approx(34.0099, rel=1e-3)
-    # no report is built for the optimum: S is the report's at j_in to the last bit
-    assert opt.snr == snr_resonant(atom, main_cavity, DriveParams(opt.j_in, TAU)).snr
+    # no report is built for the optimum: the report at j_in solves its N
+    # again and gives its S to rounding (test_optimizer_oracle checks 300 draws)
+    report = snr_resonant(atom, main_cavity, DriveParams(opt.j_in, TAU))
+    assert report.snr == pytest.approx(opt.snr, rel=1e-14, abs=0)
     # true local optimum in pump
     for f in (0.9, 1.1):
         neighbor = snr_resonant(atom, main_cavity, DriveParams(opt.j_in * f, TAU)).snr
@@ -230,17 +234,51 @@ def test_snr_zero_when_output_dark(atom, drive2):
 
 @pytest.mark.parametrize("asymmetric", [False, True])
 def test_snr_is_zero_without_coupling(atom, main_cavity, asymmetric):
-    # an uncoupled atom changes nothing: N_out is N_out,0, and S is 0 exactly,
-    # not the rounding between the empty-cavity count and the solver's root
+    # an uncoupled atom has no share of the damping or the shift: S is +0
+    # exactly, not the rounding between the empty-cavity count and the
+    # solver's root, and N_out, the root's count, is N_out,0 to rounding
     j = np.logspace(6, 7, 5)
     for cavity in (
         replace(main_cavity, g_max=0.0, asymmetric_input=asymmetric),
         replace(main_cavity, g_max=0.0, asymmetric_input=asymmetric, delta_c=0.7 * MHZ),
     ):
         n = steady_state._lower_branch(*steady_state._scaled(atom, cavity, cavity.g_max, j))
-        assert resonant_detection._snr_from_n(atom, cavity, j, n, TAU).tolist() == [0.0] * j.size
+        assert resonant_detection._snr_from_n(atom, cavity, n, TAU).tolist() == [0.0] * j.size
         for x in j.tolist():
             rep = intensity_report(atom, cavity, DriveParams(x, TAU))
-            assert rep.snr == 0.0 and rep.n_out_atom == rep.n_out_empty
+            assert rep.snr == 0.0 and math.copysign(1.0, rep.snr) == 1.0
+            assert rep.n_out_atom == pytest.approx(rep.n_out_empty, rel=1e-15, abs=0)
             n = stationary_photon_numbers(atom, cavity, DriveParams(x, TAU))[0]
-            assert resonant_detection._snr_from_n(atom, cavity, x, n, TAU) == rep.snr
+            assert resonant_detection._snr_from_n(atom, cavity, n, TAU) == rep.snr
+
+
+@st.composite
+def _couplings(draw):
+    """(g, kappa_t, kappa_loss) in MHz at a cooperativity 1e-8 to 1e3, a pump, a mirror."""
+    kappa_t, kappa_loss = (10 ** draw(st.floats(-1.0, 2.0)) for _ in range(2))
+    c = 10 ** draw(st.floats(-8.0, 3.0))
+    g = math.sqrt(c * (kappa_t + kappa_loss) * AtomParams().gamma / MHZ)
+    return g, kappa_t, kappa_loss, 10 ** draw(st.floats(-3.0, 3.0)), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_couplings())
+@example(case=(1.0, 1.45, 77.2, 1.0, False))  # C = 0.0042
+def test_snr_is_the_exact_share_at_the_root(case):
+    # S at the lower root against rational arithmetic at that float N: the
+    # atom's share keeps every digit at every coupling, where a difference
+    # of two counts would lose about -log10(C) of them
+    g, kappa_t, kappa_loss, pump, asymmetric = case
+    atom = AtomParams()
+    cavity = CavityParams(
+        g_max=g * MHZ, kappa_t=kappa_t * MHZ, kappa_loss=kappa_loss * MHZ, asymmetric_input=asymmetric
+    )
+    drive = DriveParams(j_in=pump * saturation_pump(atom, cavity), tau=TAU)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = intensity_report(atom, cavity, drive)
+        n = stationary_photon_numbers(atom, cavity, drive)[0]
+    exact = exact_intensity_snr(atom, cavity, n, TAU)
+    assert rep.snr == pytest.approx(exact, rel=1e-14, abs=0)
+    batched = resonant_detection._snr_from_n(atom, cavity, np.array([n, 2.0 * n]), TAU)
+    assert batched[0] == rep.snr

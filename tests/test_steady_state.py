@@ -136,9 +136,13 @@ def test_fixed_point_oracle_inset(atom, narrow_cavity, drive2):
 def test_empty_cavity_closed_form():
     cavity = CavityParams(g_max=12 * MHZ, kappa_t=3 * MHZ, kappa_loss=6 * MHZ, delta_c=4 * MHZ)
     drive = DriveParams(j_in=5e6, tau=1e-5)
-    # the complex quotient |eta/(kappa - i*delta_c)|^2 that steady and the reports use
+    # eta^2/(kappa^2 + delta_c^2), for floats and arrays alike, is the
+    # squared field |eta/(kappa - i*delta_c)|^2
     n_empty = resonant_detection._empty_photons(cavity, drive.j_in)
-    assert n_empty == pytest.approx(empty_photons(cavity, drive), rel=1e-12)
+    field = math.sqrt(drive.j_in * cavity.kappa_t) / (cavity.kappa - 1j * cavity.delta_c)
+    assert n_empty == pytest.approx(abs(field) ** 2, rel=1e-14)
+    assert n_empty == empty_photons(cavity, drive)
+    assert resonant_detection._empty_photons(cavity, np.array([drive.j_in])).tolist() == [n_empty]
 
 
 def test_zero_coupling_equals_empty(atom, main_cavity, drive2):
@@ -521,48 +525,49 @@ def test_pump_objectives_are_the_reports_snr(case, asymmetric):
         resonant = AtomParams(delta_a=da * MHZ)
         expected = intensity_report(resonant, cavity, drive).snr
         n = stationary_photon_numbers(resonant, cavity, drive)[0]
-        assert resonant_detection._snr_from_n(resonant, cavity, j, n, drive.tau) == expected
+        assert resonant_detection._snr_from_n(resonant, cavity, n, drive.tau) == expected
         # homodyne detection pumps on the cavity line, with the atom detuned
         dispersive = AtomParams(delta_a=(da if abs(da) > 1e-6 else 1.0) * MHZ)
         on_line = replace(cavity, delta_c=0.0)
         expected = homodyne_report(dispersive, on_line, drive).snr
         n = stationary_photon_numbers(dispersive, on_line, drive)[0]
-        assert homodyne_detection._snr_hom_from_n(dispersive, on_line, j, n, drive.tau) == expected
+        assert homodyne_detection._snr_hom_from_n(dispersive, on_line, n, drive.tau) == expected
 
 
 def _reports_from_states(resonant, dispersive, cavity, on_line, drive):
     """Both reports as they were built from a StationaryState: the reports' oracle.
 
-    The empty cavity's field is eta/(kappa - i*delta_c), and a photon number
-    n is detected as n*kappa_t*tau, twice that with an asymmetric input.
+    The empty cavity holds eta^2/(kappa^2 + delta_c^2) photons, a photon
+    number n is detected as n*kappa_t*tau, twice that with an asymmetric
+    input, and N_out,0 - N_out is the atom's share of the state's damping
+    and light shift, N_out*[gamma*(2*kappa + gamma) + U*(U - 2*delta_c)]/(kappa^2 + delta_c^2).
     """
 
     def detected(n, cav):
         return (2.0 if cav.asymmetric_input else 1.0) * n * cav.kappa_t * drive.tau
 
     def n_empty(cav):
-        return abs(math.sqrt(drive.j_in * cav.kappa_t) / (cav.kappa - 1j * cav.delta_c)) ** 2
+        return drive.j_in * cav.kappa_t / (cav.kappa**2 + cav.delta_c**2)
 
     state = solve_stationary(resonant, cavity, drive)
-    n_out_empty = detected(n_empty(cavity), cavity)
-    n_out_atom = n_out_empty if cavity.g_max == 0 else detected(state.n_photons, cavity)
+    n_out_atom = detected(state.n_photons, cavity)
+    gam, u, kap, dc = state.gamma_eff, state.light_shift, cavity.kappa, cavity.delta_c
+    share = (gam * (2.0 * kap + gam) + u * (u - 2.0 * dc)) / (kap**2 + dc**2)
     intensity = ResonantReport(
-        n_out_empty=n_out_empty,
+        n_out_empty=detected(n_empty(cavity), cavity),
         n_out_atom=n_out_atom,
-        snr=float(resonant_detection._intensity_snr(n_out_empty, n_out_atom)),
+        snr=math.sqrt(n_out_atom) * share,
         m_scattered=2.0 * resonant.gamma * drive.tau * state.rho11,
         saturation=2.0 * cavity.g_max * cavity.g_max * state.n_photons / resonant.gamma**2,
     )
     state = solve_stationary(dispersive, on_line, drive)
-    n_out_empty = detected(n_empty(on_line), on_line)
-    # the same g = 0 rule as the intensity report's
-    n_out = n_out_empty if on_line.g_max == 0 else detected(state.n_photons, on_line)
+    n_out = detected(state.n_photons, on_line)
     phi, snr = homodyne_detection._phase_and_snr(state.light_shift, on_line.kappa, n_out)
     homodyne = HomodyneReport(
         phase_shift=phi,
-        snr=float(snr),
+        snr=snr,
         n_out=n_out,
-        n_out_empty=n_out_empty,
+        n_out_empty=detected(n_empty(on_line), on_line),
         m_scattered=2.0 * dispersive.gamma * drive.tau * state.rho11,
         small_angle_valid=abs(phi) < homodyne_detection.SMALL_ANGLE_MAX,
     )

@@ -9,8 +9,10 @@ be written), 3 model/domain error or numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import numbers
 import os
 import sys
 import warnings
@@ -19,18 +21,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
+# each command imports the modules it runs, so a cold command loads no
+# other: design-cavity runs without numpy
 from . import __version__
-from .config import PUMP_RANGE_PER_US, RATE_RANGE_MHZ, in_range, load_config, parse_config
 from .errors import CavdetError, ConfigError, NotDispersive, NotResonant, StepTooLarge
-from .fiber_cavity import FiberCavityDesign, derive, design_to_cavity, v_number
-from .homodyne_detection import dispersive_saturation_pump, homodyne_report
-from .motion import spatial_averages
 from .params import MHZ, UM, US, AtomParams, DriveParams
-from .resonant_detection import _detected_photons, _empty_photons, saturation_pump, snr_resonant
-from .steady_state import solve_stationary
-from .trajectory_sim import _check_step, run_ensemble
 
 
 _FLOAT = "%.12g"  # every float in a CSV
@@ -42,33 +37,59 @@ _MAX_POINTS = 10**6
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):  # numpy's integers too
         return str(int(value))
     return _FLOAT % value
 
 
-def _write_csv(path, meta: list[tuple[str, str]], header: list[str], rows) -> None:
+def _write_text(path, text: str) -> None:
+    """Replace the file at path with text, or leave it as it was.
+
+    The text goes to a sibling .partial file, renamed over path once it is
+    whole, so path becomes a new regular file in a directory that must be
+    writable; a symlink at path is followed, and its target replaced.  An
+    OSError names path, not the partial file.
+    """
+    target = Path(os.path.realpath(path))
+    partial = target.with_name(target.name + ".partial")
+    try:
+        with open(partial, "w", newline="\n") as file:
+            file.write(text)
+        os.replace(partial, target)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            partial.unlink()
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
+
+
+def _csv(meta: list[tuple[str, str]], header: list[str], rows) -> str:
     lines = [f"# {k}: {v}" for k, v in meta]
     lines.append(",".join(header))
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path, payload: dict) -> None:
+def _json(payload: dict) -> str:
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:  # NaN and infinity are not JSON
         raise ConfigError(f"an output is not finite ({exc}); the inputs are out of range") from exc
-    Path(path).write_text(text + "\n", newline="\n")
+    return text + "\n"
 
 
-def _pump_grid(args, center: Callable[[], float]) -> np.ndarray:
+def _pump_grid(args, center: Callable[[], float]):
     """The log-spaced pump grid of a scan, in 1/s.
 
     Its ends are --jmin-per-us and --jmax-per-us, or else --decades around
     center(), which is called only then.  Both ends must lie in
-    PUMP_RANGE_PER_US.
+    PUMP_RANGE_PER_US.  Returns a numpy array.
     """
+    import numpy as np
+
+    from .config import PUMP_RANGE_PER_US, in_range
+
     if args.jmin_per_us is not None and args.jmax_per_us is not None:
         lo, hi = args.jmin_per_us * 1e6, args.jmax_per_us * 1e6
     elif args.jmin_per_us is None and args.jmax_per_us is None:
@@ -110,6 +131,10 @@ def _saturation_center(pump, cfg) -> float:
 
 
 def _cmd_steady(args) -> int:
+    from .config import RATE_RANGE_MHZ, in_range, load_config
+    from .resonant_detection import _detected_photons, _empty_photons
+    from .steady_state import solve_stationary
+
     cfg = load_config(args.config)
     # the local coupling, like cavity.g_mhz, must be in RATE_RANGE_MHZ (NaN and inf are not)
     if args.g_frac is not None and not in_range(
@@ -136,7 +161,7 @@ def _cmd_steady(args) -> int:
         "n_out": _detected_photons(state.n_photons, cfg.cavity, tau),
         "n_out_empty": _detected_photons(n_empty, cfg.cavity, tau),
     }
-    _write_json(args.out, payload)
+    _write_text(args.out, _json(payload))
     print(
         f"N={state.n_photons:.6g} with atom vs {n_empty:.6g} empty "
         f"({state.branch_count} branch(es)) -> {args.out}"
@@ -164,15 +189,45 @@ class _PumpScan:
     best: str | None = None
 
 
-# the lambdas look their functions up at call time, so rebinding them (as a
-# tracer does) reaches the scans
+# each scan imports its scheme when it runs and looks its functions up then,
+# so rebinding them (as a tracer does) reaches the scans
+def _resonant_center(cfg) -> float:
+    from .resonant_detection import saturation_pump
+
+    return _saturation_center(saturation_pump, cfg)
+
+
+def _resonant_report(cfg, drive):
+    from .resonant_detection import snr_resonant
+
+    return snr_resonant(cfg.atom, cfg.cavity, drive)
+
+
+def _dispersive_center(cfg) -> float:
+    from .homodyne_detection import dispersive_saturation_pump
+
+    return _saturation_center(dispersive_saturation_pump, cfg)
+
+
+def _dispersive_report(cfg, drive):
+    from .homodyne_detection import homodyne_report
+
+    return homodyne_report(cfg.atom, cfg.cavity, drive)
+
+
+def _motion_report(cfg, drive):
+    from .motion import spatial_averages
+
+    return spatial_averages(cfg.atom, cfg.cavity, drive)
+
+
 _PUMP_SCANS = {
     "scan-pump": _PumpScan(
         help="resonant SNR and budget vs pump rate",
         points=200,
         decades=None,
-        center=lambda cfg: _saturation_center(saturation_pump, cfg),
-        report=lambda cfg, drive: snr_resonant(cfg.atom, cfg.cavity, drive),
+        center=_resonant_center,
+        report=_resonant_report,
         columns=(
             ("n_out_empty", "N_out_empty [photons]"),
             ("n_out_atom", "N_out_atom [photons]"),
@@ -187,8 +242,8 @@ _PUMP_SCANS = {
         help="dispersive SNR and budget vs pump rate",
         points=200,
         decades=None,
-        center=lambda cfg: _saturation_center(dispersive_saturation_pump, cfg),
-        report=lambda cfg, drive: homodyne_report(cfg.atom, cfg.cavity, drive),
+        center=_dispersive_center,
+        report=_dispersive_report,
         columns=(
             ("phase_shift", "phase_shift [rad]"),
             ("snr", "S_hom [dimensionless]"),
@@ -204,7 +259,7 @@ _PUMP_SCANS = {
         points=41,
         decades=2.0,
         center=lambda cfg: cfg.drive.j_in,
-        report=lambda cfg, drive: spatial_averages(cfg.atom, cfg.cavity, drive),
+        report=_motion_report,
         columns=(
             ("s_bar", "S_bar [dimensionless]"),
             ("m_bar", "M_bar [photons]"),
@@ -229,6 +284,8 @@ def _warn_once_per_class(caught, starts) -> None:
 
 
 def _cmd_pump_scan(args) -> int:
+    from .config import load_config
+
     scan = _PUMP_SCANS[args.command]
     cfg = load_config(args.config)
     grid = _pump_grid(args, lambda: scan.center(cfg))
@@ -245,12 +302,9 @@ def _cmd_pump_scan(args) -> int:
         # also when a grid point raises, so the earlier points' warnings
         # are issued before the error
         _warn_once_per_class(caught, starts)
-    _write_csv(
-        args.out,
-        [("version", __version__), ("command", args.command), ("config_sha256", cfg.digest)],
-        ["j_in [1/us]", *(header for _, header in scan.columns)],
-        rows,
-    )
+    meta = [("version", __version__), ("command", args.command), ("config_sha256", cfg.digest)]
+    header = ["j_in [1/us]", *(title for _, title in scan.columns)]
+    _write_text(args.out, _csv(meta, header, rows))
     text, summary = scan.summary, {"n": len(rows)}
     if scan.best is not None:
         col = 1 + fields.index(scan.best)
@@ -265,6 +319,11 @@ def _cmd_pump_scan(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    import numpy as np
+
+    from .config import load_config, parse_config
+    from .trajectory_sim import _check_step, run_ensemble
+
     for flag, value in (("--threads", args.threads), ("--decimate", args.decimate)):
         if value < 1:
             raise ConfigError(f"{flag} must be at least 1, got {value}")
@@ -296,9 +355,10 @@ def _cmd_simulate(args) -> int:
     # each atom's rows are one % over a repeated row template that carries its index
     traj_row = ",".join([_FLOAT] * 5) + "\n"
     click_row = _FLOAT + "\n"
-    # stream into partial files, renamed only once the ensemble succeeds, so a
-    # failed run leaves the previous run's three files as they were
-    names = ("trajectories.csv", "clicks.csv")
+    # stream into partial files and write the report beside them; all three are
+    # renamed only once all three are whole, so a failed run leaves the previous
+    # run's three files as they were
+    names = ("trajectories.csv", "clicks.csv", "report.json")
     partial = [out_dir / (name + ".partial") for name in names]
     try:
         with open(partial[0], "w", newline="\n") as traj_file, open(
@@ -324,15 +384,7 @@ def _cmd_simulate(args) -> int:
                 sim,
                 record_sink=sink,
             )
-    except BaseException:
-        for path in partial:
-            path.unlink(missing_ok=True)
-        raise
-    for path, name in zip(partial, names):
-        os.replace(path, out_dir / name)
-    _write_json(
-        out_dir / "report.json",
-        {
+        payload = {
             "version": __version__,
             "config_sha256": cfg.digest,
             "config": cfg.resolved,
@@ -347,8 +399,15 @@ def _cmd_simulate(args) -> int:
             "dark_rate_convention_range_per_s": list(report.dark_rate_convention_range),
             "mean_m": report.mean_m,
             "detections": [[i, t / US] for i, t in report.detections],
-        },
-    )
+        }
+        with open(partial[2], "w", newline="\n") as report_file:
+            report_file.write(_json(payload))
+    except BaseException:
+        for path in partial:
+            path.unlink(missing_ok=True)
+        raise
+    for path, name in zip(partial, names):
+        os.replace(path, out_dir / name)
     print(
         f"efficiency {report.efficiency:.3f}, dark rate {report.dark_rate:.0f}/s, "
         f"mean M {report.mean_m:.1f} ({sim.n_atoms} atoms) -> {out_dir}"
@@ -357,6 +416,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_design_cavity(args) -> int:
+    from .fiber_cavity import FiberCavityDesign, derive, design_to_cavity, v_number
+
     if (args.length_mm is None) == (args.length_half_waves is None):
         raise ConfigError("give exactly one of --length-mm or --length-half-waves")
     if (args.mode_index is None) == (args.gap_um is None):
@@ -421,13 +482,24 @@ def _cmd_design_cavity(args) -> int:
             "length_mm": cavity.length / 1e-3,
         },
     }
-    _write_json(args.out, payload)
+    _write_text(args.out, _json(payload))
     print(
         f"w0={payload['w0_um']:.4g} um, 2d={payload['gap_um']:.4g} um "
         f"(m={derived.mode_index}), kappa_gap={payload['kappa_gap_mhz']:.4g} MHz, "
         f"g={payload['g_mhz']:.4g} MHz, kappa_T={payload['kappa_t_mhz']:.4g} MHz -> {args.out}"
     )
     return 0
+
+
+def __getattr__(name):
+    # cli.run_ensemble is trajectory_sim's binding at each read, never a copy:
+    # code that rebinds it there (a tracer, a test) is what cli shows, and
+    # nothing is left to restore in cli (perfbench/tests checks this)
+    if name == "run_ensemble":
+        from .trajectory_sim import run_ensemble
+
+        return run_ensemble
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

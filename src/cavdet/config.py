@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .params import KHZ, MHZ, NM, UM, US, AtomParams, CavityParams, DriveParams
-from .trajectory_sim import GuideParams, SimConfig
+from .params import KHZ, MHZ, NM, UM, US, AtomParams, CavityParams, DriveParams, GuideParams, SimConfig
 
 DEFAULTS: dict = {
     "atom": {

@@ -25,15 +25,13 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, QuasiStaticViolated, StepTooLarge
-from .params import HBAR, K_B, KHZ, AtomParams, CavityParams, DriveParams, US, require_finite
+from .params import BLOCK_ATOMS, HBAR, K_B, US, AtomParams, CavityParams, DriveParams, GuideParams
+from .params import SimConfig, _window_count
 from .resonant_detection import _detected_rate, _empty_photons
 from .steady_state import _lower_branch, _scaled, stationary_scan
 
 PRESENCE_WAISTS = 3.0  # |y| within this many waists counts as "atom present"
 _DIP_SWEEP = (1, 2, 3, 4, 5)  # persistence conventions (in strides) for the dark-rate spread
-# most atoms stepped together with recoil: position, N and rho11 cost 40 B
-# per atom-step, so 2,001 steps x 512 atoms hold about 41 MB
-BLOCK_ATOMS = 512
 # most atoms solved together without recoil: at 2,001 steps, blocks of 16
 # raised the 600-atom run's peak RSS by 0.2 MB, and larger ones ran slower
 BALLISTIC_ATOMS = 16
@@ -42,99 +40,10 @@ _STEP_BLOCK = 256  # steps of uniforms and normals an atom draws at a time
 # 1 to 16 atoms timed within 5 % of each other on a 200-atom ballistic
 # ensemble, and 16 raised the 500-atom recoil run's peak RSS by 0.6 MB
 _RECORD_ATOMS = 4
-# most atoms in one ensemble: a transit takes about 1 ms, so 10**7 atoms run
-# for hours, and their per-atom M values (80 MB) still fit in memory
-_MAX_ATOMS = 10**7
-# most steps per transit, duration/dt: at 40 B per atom-step one atom holds
-# 4 MB and a full recoil block of BLOCK_ATOMS about 2 GB; the shipped
-# configs take 2,000
-_MAX_STEPS = 10**5
 # most expected clicks in the dark stream: its click times cost 16 B per
 # click while they are sorted, 1.6 GB here; the shipped configs expect
 # at most 2 million
 _MAX_DARK_CLICKS = 10**8
-# most window counts held at once: 24 B each at the measured peak (a start
-# and a count in the dark stream; two edge positions and a count per atom
-# in a block's records), so 2.4 GB.  A block holds BLOCK_ATOMS transits'
-# windows, so one transit may have _MAX_WINDOWS // BLOCK_ATOMS = 195,312.
-# The shipped configs take 93 per transit and 160,000 in the dark stream
-_MAX_WINDOWS = 10**8
-_MAX_TRANSIT_WINDOWS = _MAX_WINDOWS // BLOCK_ATOMS
-
-
-@dataclass(frozen=True)
-class GuideParams:
-    """Harmonic guide for the transverse axes plus the longitudinal beam."""
-
-    trap_omega: float = 37.0 * KHZ
-    mean_velocity: float = 0.4
-    temperature: float = 30.0 * 1e-6  # the config's own expression
-
-    def __post_init__(self):
-        require_finite(self, "guide")
-        if self.trap_omega <= 0:
-            raise ConfigError("guide.trap_omega must be positive")
-        if self.mean_velocity < 0:
-            raise ConfigError("guide.mean_velocity must be non-negative")
-        if self.temperature < 0:
-            raise ConfigError("guide.temperature must be non-negative")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Integration, detection, and ensemble settings."""
-
-    dt: float = 0.05 * US
-    window: float = 8.0 * US
-    stride: float = 1.0 * US
-    threshold: int = 11
-    min_dip: float = 3.0 * US
-    duration: float = 100.0 * US
-    seed: int = 0
-    n_atoms: int = 500
-    include_recoil: bool = True
-    dark_windows: int = 20000
-
-    def __post_init__(self):
-        require_finite(self, "sim")
-        if self.dt <= 0 or self.window <= 0 or self.stride <= 0:
-            raise ConfigError("sim.dt, sim.window, sim.stride must be positive")
-        if self.dt > self.window / 20.0:
-            raise ConfigError("sim.dt must not exceed window/20")
-        if self.stride > self.window:
-            raise ConfigError("sim.stride must not exceed the window")
-        if self.threshold < 0:
-            raise ConfigError("sim.threshold must be non-negative")
-        if self.min_dip < 0:
-            raise ConfigError("sim.min_dip must be non-negative")
-        if self.duration < self.window:
-            raise ConfigError("sim.duration must cover at least one window")
-        if self.duration / self.dt > _MAX_STEPS:
-            raise ConfigError(
-                f"sim.duration/sim.dt must be at most {_MAX_STEPS} steps, "
-                f"got {self.duration / self.dt:.6g}"
-            )
-        if self.seed < 0:
-            raise ConfigError("sim.seed must be non-negative")
-        if self.n_atoms < 1:
-            raise ConfigError("sim.n_atoms must be at least 1")
-        if self.n_atoms > _MAX_ATOMS:
-            raise ConfigError(f"sim.n_atoms must be at most {_MAX_ATOMS}, got {self.n_atoms}")
-        if self.dark_windows < 1:
-            raise ConfigError("sim.dark_windows must be at least 1")
-        stride = f"sim.stride_us={self.stride / US:.6g}"
-        per_transit = _window_count(self.window, self.stride, self.duration)
-        if per_transit > _MAX_TRANSIT_WINDOWS:
-            raise ConfigError(
-                f"{stride} makes {per_transit:.6g} windows per transit; "
-                f"at most {_MAX_TRANSIT_WINDOWS} are counted"
-            )
-        dark = _window_count(self.window, self.stride, self.dark_windows * self.window)
-        if dark > _MAX_WINDOWS:
-            raise ConfigError(
-                f"sim.dark_windows={self.dark_windows} at {stride} makes {dark:.6g} "
-                f"dark-stream windows; at most {_MAX_WINDOWS} are counted"
-            )
 
 
 @dataclass(frozen=True)
@@ -213,15 +122,6 @@ def local_coupling(position, cavity: CavityParams, atom: AtomParams):
     envelope = np.exp(-(y * y + z * z) / cavity.waist**2)
     g = cavity.g_max * envelope * np.abs(np.cos(atom.k * x))
     return float(g) if p.ndim == 1 else g
-
-
-def _window_count(window: float, stride: float, duration: float) -> int | float:
-    """Number of sliding windows [t, t + window), stride apart from 0 to duration - window.
-
-    inf where the count leaves the float range.
-    """
-    last = (duration - window) / stride + 1e-9
-    return math.floor(last) + 1 if math.isfinite(last) else math.inf
 
 
 def _window_starts(window: float, stride: float, duration: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 """The package's surface: its exports and the options its functions take."""
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -33,8 +34,22 @@ TEST_ONLY_NAMES = {
 }
 
 
+def _definitions(path: Path) -> set[str]:
+    """The names a module's top level defines: its classes, functions and assignments."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
 def test_all_is_every_public_name():
-    # a class or function moved between modules cannot leave a stale export
+    # the first read of a public name binds them all; after it, the package
+    # holds exactly the table's names, each the object its home module defines
+    cavdet.MHZ
     public = {
         name
         for name, value in vars(cavdet).items()
@@ -42,6 +57,13 @@ def test_all_is_every_public_name():
     }
     assert len(cavdet.__all__) == len(set(cavdet.__all__))
     assert set(cavdet.__all__) == public
+    definitions = {p.stem: _definitions(p) for p in PACKAGE.glob("*.py")}
+    for module, names in cavdet._HOMES.items():
+        home = importlib.import_module(f"cavdet.{module}")
+        for name in names:
+            # defined in its home module and in no other
+            assert [m for m, defined in definitions.items() if name in defined] == [module]
+            assert vars(cavdet)[name] is vars(home)[name], f"cavdet.{name} is not {module}'s"
 
 
 def _referenced_names(path: Path) -> set[str]:

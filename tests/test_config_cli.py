@@ -1,5 +1,6 @@
 """Config parsing, digests, and the command-line entry points."""
 import argparse
+import errno
 import itertools
 import json
 import math
@@ -42,7 +43,7 @@ from cavdet import (
     spatial_averages,
     stationary_photon_numbers,
 )
-from cavdet import cli, resonant_detection, trajectory_sim
+from cavdet import cli, params, resonant_detection, trajectory_sim
 from cavdet.cli import _fmt, _pump_grid, run
 from cavdet.config import DEFAULTS, RANGES
 from cavdet.errors import NoPhysicalRoot, StepTooLarge
@@ -693,9 +694,9 @@ def _transit_config(tmp_path, **sim):
 
 def test_sim_config_bounds_the_step_count():
     dt = 1e-6
-    SimConfig(dt=dt, window=20 * dt, duration=trajectory_sim._MAX_STEPS * dt)
+    SimConfig(dt=dt, window=20 * dt, duration=params._MAX_STEPS * dt)
     with pytest.raises(ConfigError, match="sim.duration/sim.dt must be at most"):
-        SimConfig(dt=dt, window=20 * dt, duration=(trajectory_sim._MAX_STEPS + 1) * dt)
+        SimConfig(dt=dt, window=20 * dt, duration=(params._MAX_STEPS + 1) * dt)
 
 
 def _dark_windows_past_the_cap():
@@ -726,7 +727,7 @@ def test_dark_stream_is_bounded_before_any_draw(monkeypatch):
 @pytest.mark.parametrize(
     "sim, name",
     [
-        ({"duration_us": 0.05 * (trajectory_sim._MAX_STEPS + 1)}, "sim.duration/sim.dt"),
+        ({"duration_us": 0.05 * (params._MAX_STEPS + 1)}, "sim.duration/sim.dt"),
         ({"dark_windows": _dark_windows_past_the_cap()}, "sim.dark_windows"),
         ({"dark_windows": 10**15}, "sim.dark_windows"),
     ],
@@ -746,17 +747,17 @@ def test_cli_simulate_rejects_a_run_past_its_size_caps(tmp_path, capsys, monkeyp
 def _stride_for(windows, window, duration):
     # the stride that fits exactly this many windows into duration
     stride = (duration - window) / (windows - 1)
-    assert trajectory_sim._window_count(window, stride, duration) == windows
+    assert params._window_count(window, stride, duration) == windows
     return stride
 
 
 def test_sim_config_bounds_the_window_counts():
-    cap, window, duration = trajectory_sim._MAX_TRANSIT_WINDOWS, 8 * US, 100 * US
+    cap, window, duration = params._MAX_TRANSIT_WINDOWS, 8 * US, 100 * US
     SimConfig(stride=_stride_for(cap, window, duration), dark_windows=1)
     with pytest.raises(ConfigError, match=f"sim.stride_us=.* makes {cap + 1} windows per transit"):
         SimConfig(stride=_stride_for(cap + 1, window, duration), dark_windows=1)
     # with the stride one window, the dark stream has dark_windows windows
-    cap = trajectory_sim._MAX_WINDOWS
+    cap = params._MAX_WINDOWS
     assert _stride_for(cap, window, cap * window) == window
     SimConfig(stride=window, dark_windows=cap)
     with pytest.raises(ConfigError, match=f"sim.dark_windows={cap + 1} at sim.stride_us=8 makes"):
@@ -772,10 +773,10 @@ def test_window_counts_are_bounded_before_any_window_exists(monkeypatch):
     with pytest.raises(ConfigError, match="windows per transit"):
         replace(cfg.sim, stride=1e-15)
     with pytest.raises(ConfigError, match="dark-stream windows"):
-        replace(cfg.sim, stride=cfg.sim.window, dark_windows=trajectory_sim._MAX_WINDOWS + 1)
+        replace(cfg.sim, stride=cfg.sim.window, dark_windows=params._MAX_WINDOWS + 1)
     # at the dark cap a dim pump expects 2,000 clicks over the 800 s stream,
     # which gets as far as laying out its windows
-    sim = replace(cfg.sim, stride=cfg.sim.window, dark_windows=trajectory_sim._MAX_WINDOWS)
+    sim = replace(cfg.sim, stride=cfg.sim.window, dark_windows=params._MAX_WINDOWS)
     with pytest.raises(AssertionError, match="laid out before"):
         dark_rates(cfg.cavity, replace(cfg.drive, j_in=1e-6 * cfg.drive.j_in), sim)
 
@@ -784,7 +785,7 @@ def test_window_counts_are_bounded_before_any_window_exists(monkeypatch):
     "sim, name",
     [
         ({"stride_us": 1e-9}, "sim.stride_us"),
-        ({"stride_us": 8.0, "dark_windows": trajectory_sim._MAX_WINDOWS + 1}, "sim.dark_windows"),
+        ({"stride_us": 8.0, "dark_windows": params._MAX_WINDOWS + 1}, "sim.dark_windows"),
     ],
 )
 def test_cli_simulate_rejects_a_window_count_past_its_cap(tmp_path, capsys, monkeypatch, sim, name):
@@ -887,10 +888,93 @@ def test_cli_simulate_failure_leaves_earlier_output(tmp_path, monkeypatch, capsy
 
         return run_ensemble(*args, record_sink=sink, **kwargs)
 
-    monkeypatch.setattr(cli, "run_ensemble", fail_after_first_record)
+    monkeypatch.setattr(trajectory_sim, "run_ensemble", fail_after_first_record)
     assert run(argv + ["--seed", "5"]) == 3
     assert "forced after the first trajectory" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+class _FullDisk:
+    """A file whose writes store half their text and then fail, as on a full disk."""
+
+    def __init__(self, file):
+        self.file = file
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, text):
+        self.file.write(text[: len(text) // 2])
+        self.file.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _fill_disk_for(monkeypatch, suffix):
+    """cli's open gives a _FullDisk file for every path that ends in suffix."""
+
+    def full_disk_open(path, *args, **kwargs):
+        file = open(path, *args, **kwargs)
+        return _FullDisk(file) if str(path).endswith(suffix) else file
+
+    monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+
+
+def test_cli_simulate_report_failure_leaves_the_earlier_three_files(tmp_path, monkeypatch, capsys):
+    # the report is written last: its failure must not leave this run's CSVs
+    # beside the earlier run's report
+    out = tmp_path / "sim"
+    argv = ["simulate", "--config", TRANSIT, "--out", str(out), "--atoms", "2"]
+    assert run(argv + ["--seed", "1"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["clicks.csv", "report.json", "trajectories.csv"]
+    capsys.readouterr()
+    _fill_disk_for(monkeypatch, "report.json.partial")
+    assert run(argv + ["--seed", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+SINGLE_FILE_COMMANDS = {
+    "steady": ["--config", MAIN],
+    "scan-pump": ["--config", MAIN, "--points", "3"],
+    "homodyne-scan": ["--config", NARROW, "--points", "3"],
+    "motion-averages": ["--config", MAIN, "--points", "3"],
+    "design-cavity": ["--core-um", "5", "--length-mm", "10.4", "--mode-index", "13"],
+}
+
+
+@pytest.mark.parametrize("command", SINGLE_FILE_COMMANDS)
+def test_cli_failed_write_leaves_the_earlier_file(tmp_path, monkeypatch, capsys, command):
+    out = tmp_path / "out.txt"
+    argv = [command, *SINGLE_FILE_COMMANDS[command], "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the saturated motion-averages points
+        assert run(argv) == 0
+        before = out.read_bytes()
+        capsys.readouterr()
+        _fill_disk_for(monkeypatch, ".partial")
+        assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert out.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [out]
+
+
+def test_cli_write_through_a_symlink_replaces_its_target(tmp_path):
+    target = tmp_path / "real" / "design.json"
+    target.parent.mkdir()
+    target.write_text("old\n")
+    link = tmp_path / "design.json"
+    link.symlink_to(target)
+    argv = ["design-cavity", *SINGLE_FILE_COMMANDS["design-cavity"], "--out", str(link)]
+    assert run(argv) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert json.loads(target.read_text())["cavity"]
+    assert sorted(target.parent.iterdir()) == [target]
 
 
 @pytest.mark.parametrize("decimate", [1, 7, 5000])
@@ -932,7 +1016,7 @@ def test_cli_simulate_sink_failure_leaves_no_partial_file(tmp_path, monkeypatch)
     def sink_gets_a_bad_record(*args, record_sink, **kwargs):
         record_sink(0, None)  # the sink itself raises on it
 
-    monkeypatch.setattr(cli, "run_ensemble", sink_gets_a_bad_record)
+    monkeypatch.setattr(trajectory_sim, "run_ensemble", sink_gets_a_bad_record)
     with pytest.raises(AttributeError):
         run(["simulate", "--config", TRANSIT, "--out", str(out), "--atoms", "2"])
     assert out.is_dir() and list(out.iterdir()) == []

@@ -84,10 +84,12 @@ def _pump_grid(args, center: Callable[[], float]):
 
     Its ends are --jmin-per-us and --jmax-per-us, or else --decades around
     center(), which is called only then.  Both ends must lie in
-    PUMP_RANGE_PER_US.  Returns a numpy array.
+    PUMP_RANGE_PER_US.  Returns a list of floats, 10**(a + k*step) with
+    a = log10(lo), step = (log10(hi) - a)/(points - 1) and the last
+    exponent log10(hi): np.logspace's arithmetic with the C library's
+    power, so the grid does not depend on the power kernel numpy picks for
+    the CPU.  It lies within 1 ulp of np.logspace.
     """
-    import numpy as np
-
     from .config import PUMP_RANGE_PER_US, in_range
 
     if args.jmin_per_us is not None and args.jmax_per_us is not None:
@@ -117,7 +119,9 @@ def _pump_grid(args, center: Callable[[], float]):
             f"pump grid {lo / 1e6:g} to {hi / 1e6:g}/us (--jmin-per-us, --jmax-per-us or "
             f"--decades) must lie between {lo_us:g} and {hi_us:g}/us"
         )
-    return np.logspace(math.log10(lo), math.log10(hi), args.points)
+    a, b = math.log10(lo), math.log10(hi)
+    step = (b - a) / (args.points - 1)
+    return [10.0 ** (a + k * step) for k in range(args.points - 1)] + [10.0**b]
 
 
 def _saturation_center(pump, cfg) -> float:
@@ -273,14 +277,19 @@ _PUMP_SCANS = {
 
 
 def _warn_once_per_class(caught, starts) -> None:
-    """Re-issue recorded warnings once per class: the first message and how many grid points raised it."""
+    """Re-issue recorded warnings once per class: the first message and how many grid points raised it.
+
+    Each is issued from the fixed location <cavdet>:0, so its stderr line
+    names no source file or line of this module and echoes no source line.
+    """
     first, points = {}, Counter()
     for a, b in zip(starts, [*starts[1:], len(caught)]):
         for w in caught[a:b]:
             first.setdefault(w.category, w.message)
         points.update({w.category for w in caught[a:b]})
     for category, message in first.items():
-        warnings.warn(f"{message} ({points[category]} of {len(starts)} grid points)", category)
+        text = f"{message} ({points[category]} of {len(starts)} grid points)"
+        warnings.warn_explicit(text, category, "<cavdet>", 0, module=__name__)
 
 
 def _cmd_pump_scan(args) -> int:

@@ -20,8 +20,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NotDispersive, SmallDetuningWarning
 from .optimize import KappaTOptimum, PumpOptimum, best_pump, max_over_kappa_t
 from .params import AtomParams, CavityParams, DriveParams, cooperativity
@@ -59,11 +57,17 @@ def _phase_and_snr(light_shift, kappa, n_out):
     """Phase phi = -U/kappa and S_hom = 2*sqrt(N_out)*|sin(phi)|, for floats or arrays.
 
     phi is (0 - U)/kappa, -U/kappa for every U != 0 and +0 at U = 0.
-    Floats are scored with math.sqrt and math.sin and give floats; the
-    tests check their bits against numpy's on the same values.
+    Floats (np.float64 too) are scored with math.sqrt and math.sin,
+    without loading numpy; the tests check their bits against numpy's on
+    the same values.
     """
     phi = (0.0 - light_shift) / kappa
-    sqrt, sin = (np.sqrt, np.sin) if isinstance(phi, np.ndarray) else (math.sqrt, math.sin)
+    if isinstance(phi, float):
+        sqrt, sin = math.sqrt, math.sin
+    else:
+        import numpy as np
+
+        sqrt, sin = np.sqrt, np.sin
     return phi, 2.0 * sqrt(n_out) * abs(sin(phi))
 
 

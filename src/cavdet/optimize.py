@@ -9,14 +9,15 @@ best_pump needs no root solve: the pump that holds N photons is explicit,
 e2(N) = N*[(kappa + gamma(N))^2 + (delta_c - U(N))^2] (Gamma-scaled), the
 S-curve of optical bistability (Lugiato, Prog. Opt. 21, 69 (1984)), so it
 maximizes S along the curve's lower branch in N.
+Importing the module loads no numpy: best_pump's scan grid, its one
+array, is built with numpy on the first scan (_scan_grid).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import NoMaximumInBounds
 from .steady_state import _BRACKET_ITERS, _bracketed_root, _cubic_coeffs, _s_curve, _scaled
@@ -29,11 +30,19 @@ _N_LOW, _N_DECADES = 1e-10, 16  # best_pump's N: 1e-10 to 1e6 saturation photon 
 _PER_DECADE = 20  # best_pump's scan points per decade of N
 
 
-# best_pump's scan grid t = ln(N/N_lo) and exp(t), built once per process
-# and read-only, so a scan is one multiply and no caller can alter the grid
-_T_GRID = np.linspace(0.0, _N_DECADES * math.log(10.0), _N_DECADES * _PER_DECADE + 1)
-_EXP_T_GRID = np.exp(_T_GRID)
-_T_GRID.flags.writeable = _EXP_T_GRID.flags.writeable = False
+@cache
+def _scan_grid():
+    """best_pump's scan grid t = ln(N/N_lo) and exp(t), built on first use, once per process.
+
+    Both arrays are read-only, so a scan is one multiply and no caller can
+    alter the grid.
+    """
+    import numpy as np
+
+    t = np.linspace(0.0, _N_DECADES * math.log(10.0), _N_DECADES * _PER_DECADE + 1)
+    exp_t = np.exp(t)
+    t.flags.writeable = exp_t.flags.writeable = False
+    return t, exp_t
 
 
 def golden_max(f, lo: float, hi: float, rel_tol: float):
@@ -189,14 +198,16 @@ def best_pump(snr, atom, cavity, tau: float) -> PumpOptimum:
         e2_a = _s_curve(n_a, g2, kap, da, dc)
         cap = e2_a / (kap * kap)
         n_star = _bracketed_root(n_b, cap, cap, g2, e2_a, kap, da, dc)
-    n = n_lo * _EXP_T_GRID
-    s = snr(atom, cavity, n, tau)
+    t_grid, exp_t_grid = _scan_grid()
+    n = n_lo * exp_t_grid
+    s = snr(atom, cavity, n, tau)  # a new array, so the scan may overwrite it
     keep = s == s
     if folds:
         keep &= (n <= n_a) | (n >= n_star)
-    i = int(np.argmax(np.where(keep, s, -np.inf)))
-    last = _T_GRID.size - 1
-    a, b = float(_T_GRID[max(i - 1, 0)]), float(_T_GRID[min(i + 1, last)])
+    s[~keep] = -math.inf
+    i = int(s.argmax())
+    last = t_grid.size - 1
+    a, b = float(t_grid[max(i - 1, 0)]), float(t_grid[min(i + 1, last)])
     if n[i] <= n_a:
         b = min(b, math.log(n_a / n_lo))
     else:
@@ -205,7 +216,7 @@ def best_pump(snr, atom, cavity, tau: float) -> PumpOptimum:
     def polish(t):
         return float(snr(atom, cavity, n_lo * math.exp(t), tau))
 
-    start = float(_T_GRID[i])
+    start = float(t_grid[i])
     s_start = polish(start)
     if i in (0, last):
         # a range end: polish only if S does not fall one tolerance inside it

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NotResonant
 from .optimize import KappaTOptimum, PumpOptimum, best_pump, max_over_kappa_t
 from .params import AtomParams, CavityParams, DriveParams, cooperativity
@@ -176,14 +174,18 @@ def _snr_from_n(atom: AtomParams, cavity: CavityParams, n, tau: float):
     N_out,0 - N_out is the atom's share (see the module docstring): the
     pump that holds n photons is eta^2 = n*[(kappa + gamma)^2 + (delta_c - U)^2],
     gamma and U at n and g_max, and the empty cavity holds
-    eta^2/(kappa^2 + delta_c^2).  A float n is scored with math.sqrt, which
-    rounds as np.sqrt does, and gives a float.
+    eta^2/(kappa^2 + delta_c^2).  A float n (np.float64 too) is scored
+    with math.sqrt, which rounds as np.sqrt does, without loading numpy.
     """
     _, gamma, u = _atom_response(n, cavity.g_max, atom)
     kappa, delta_c = cavity.kappa, cavity.delta_c
     share = (gamma * (2.0 * kappa + gamma) + u * (u - 2.0 * delta_c)) / (kappa**2 + delta_c**2)
     n_out = _detected_photons(n, cavity, tau)
-    return (np.sqrt if isinstance(n_out, np.ndarray) else math.sqrt)(n_out) * share
+    if isinstance(n_out, float):
+        return math.sqrt(n_out) * share
+    import numpy as np
+
+    return np.sqrt(n_out) * share
 
 
 def max_snr_over_pump(atom: AtomParams, cavity: CavityParams, tau: float) -> PumpOptimum:

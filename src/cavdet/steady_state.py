@@ -20,17 +20,23 @@ which is a cubic polynomial in N.  Up to three non-negative roots exist in
 detuned or strongly driven regimes (optical bistability); the state returned
 by solve_stationary is the branch continuously connected to N=0 under an
 adiabatic pump ramp, which is always the smallest root.
+
+The scalar solves (solve_stationary, stationary_photon_numbers) run on
+Python floats and load no numpy; numpy is imported only where arrays are
+made, by the batched solver behind stationary_scan.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import IllConditionedRootsWarning, NoPhysicalRoot
 from .params import AtomParams, CavityParams, DriveParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MERGE_RTOL = 1e-9  # roots closer than this (relative) are reported as one
 
@@ -123,7 +129,7 @@ _COMPACT_MIN = 4096
 def _unconverged(f, e2):
     """True where a residual f fails the root test |f| <= _ROOT_RTOL * e2; arrays or floats."""
     ok = abs(f) <= _ROOT_RTOL * e2
-    return ~ok if isinstance(ok, np.ndarray) else not ok
+    return not ok if isinstance(ok, bool) else ~ok
 
 
 def _may_be_bistable(g2, e2, kap, da, dc):
@@ -139,8 +145,10 @@ def _may_be_bistable(g2, e2, kap, da, dc):
     d0 = da * da + 1.0
     a = d0 * (kap * kap + dc * dc)
     b = kap - dc * da
-    if isinstance(g2, np.ndarray) and not isinstance(e2, np.ndarray) and b >= e2:
-        # then c2 > 0 for every g2 >= 0
+    if not isinstance(g2, float) and isinstance(e2, float) and b >= e2:
+        # then c2 > 0 for every g2 >= 0 of the array g2
+        import numpy as np
+
         return np.zeros(np.shape(g2), dtype=bool)
     return (a + g2 * (b - e2) < 0.0) & (g2 * (g2 + 2.0 * (b - 2.0 * e2)) + a > 0.0)
 
@@ -267,6 +275,8 @@ def _roots_scaled(g2, e2, kap, da, dc):
 
 def _gather(x, keep, shape):
     """The elements of x broadcast to shape at the flat indices keep; a scalar stays as it is."""
+    import numpy as np
+
     if np.ndim(x) == 0:
         return x
     return np.take(x if np.shape(x) == shape else np.broadcast_to(x, shape).ravel(), keep)
@@ -295,6 +305,8 @@ def _lower_branch(g2, e2, kap, da, dc, n_start=None):
     same to the bit.  The gathering costs more than it saves on small
     arrays (113 against 88 us on a 64-element cold solve), hence the gate.
     """
+    import numpy as np
+
     cold = n_start is None
     if cold:
         n_lin, n_sat = _two_limits(g2, e2, kap, da, dc)
@@ -422,4 +434,6 @@ def stationary_scan(
     not converge, it is the photon number of solve_stationary at that
     coupling.
     """
+    import numpy as np
+
     return _lower_branch(*_scaled(atom, cavity, np.asarray(g_values, dtype=float), drive.j_in))

@@ -45,7 +45,7 @@ from cavdet import (
 )
 from cavdet import cli, params, resonant_detection, trajectory_sim
 from cavdet.cli import _fmt, _pump_grid, run
-from cavdet.config import DEFAULTS, RANGES
+from cavdet.config import DEFAULTS, PUMP_RANGE_PER_US, RANGES
 from cavdet.errors import NoPhysicalRoot, StepTooLarge
 from cavdet.steady_state import StationaryState
 
@@ -203,14 +203,41 @@ def _no_center():
 
 
 def test_scan_spec_grids():
-    g = _pump_grid(_grid_flags(1.0, 100.0, 5), _no_center) / 1e6
-    assert g.shape == (5,)
+    grid = _pump_grid(_grid_flags(1.0, 100.0, 5), _no_center)
+    assert type(grid) is list and all(type(j) is float for j in grid)
+    g = [j / 1e6 for j in grid]
+    assert len(g) == 5
     assert g[0] == pytest.approx(1.0, rel=1e-12)
     assert g[-1] == pytest.approx(100.0, rel=1e-12)
     assert g[2] == pytest.approx(10.0, rel=1e-12)
     # the default grid: --decades around the centre
-    g = _pump_grid(_grid_flags(None, None, 5, decades=2.0), lambda: 3e6) / 1e6
+    g = [j / 1e6 for j in _pump_grid(_grid_flags(None, None, 5, decades=2.0), lambda: 3e6)]
     np.testing.assert_allclose(g, [0.3, 0.3 * 10**0.5, 3.0, 3 * 10**0.5, 30.0], rtol=1e-12)
+
+
+def _documented_grid(lo, hi, points):
+    """_pump_grid's grid as its docstring gives it: 10**(a + k*step), the last exponent log10(hi)."""
+    a, b = math.log10(lo), math.log10(hi)
+    step = (b - a) / (points - 1)
+    return [10.0 ** (a + k * step) for k in range(points - 1)] + [10.0**b]
+
+
+def test_pump_grid_is_documented_and_within_an_ulp_of_logspace():
+    # np.logspace takes the same exponents and its own power, which may
+    # round differently from the C library's by an ulp on some CPUs
+    rng = np.random.default_rng(20261021)
+    lo_us, hi_us = PUMP_RANGE_PER_US
+    ulps = []
+    for _ in range(5000):
+        a = rng.uniform(math.log10(lo_us), math.log10(hi_us))
+        b = rng.uniform(a, math.log10(hi_us))
+        lo, hi = 10.0**a, 10.0**b
+        points = int(rng.integers(2, 200))
+        grid = _pump_grid(_grid_flags(lo, hi, points), _no_center)
+        assert grid == _documented_grid(lo * 1e6, hi * 1e6, points)
+        reference = np.logspace(math.log10(lo * 1e6), math.log10(hi * 1e6), points)
+        ulps.append(np.abs(np.array(grid).view(np.int64) - reference.view(np.int64)))
+    assert np.concatenate(ulps).max() <= 1
 
 
 @pytest.mark.parametrize(
@@ -560,7 +587,7 @@ def test_cli_pump_scans_match_their_reports(tmp_path, capsys, command, extra, bo
         else:
             center, half = bounds(cfg)
             lo, hi = center / half, center * half
-        grid = np.logspace(math.log10(lo), math.log10(hi), 5)
+        grid = _documented_grid(lo, hi, 5)
         reps = [report(cfg.atom, cfg.cavity, DriveParams(j_in=j, tau=cfg.drive.tau)) for j in grid]
     lines = out.read_text().splitlines()
     assert lines[:3] == [

@@ -11,6 +11,7 @@ import math
 import re
 import sys
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -198,22 +199,26 @@ def test_reports_at_the_optima_give_their_snr():
 
 
 def test_kappa_t_search_builds_no_grid(monkeypatch, main_cavity):
+    # the grid is built on the first scan of the process, here if none ran before
+    grid = optimize._scan_grid()
+
     def no_grid(*args, **kwargs):
         raise AssertionError("np.linspace was called")
 
     monkeypatch.setattr(np, "linspace", no_grid)
     optimal_kappa_t(AtomParams(), main_cavity, DRIVE)
     optimal_kappa_t_homodyne(AtomParams(delta_a=200 * GAMMA), main_cavity, DRIVE)
+    assert optimize._scan_grid() is grid
 
 
-@pytest.mark.parametrize("name", ["_T_GRID", "_EXP_T_GRID"])
-def test_scan_grids_are_read_only(name):
-    grid = getattr(optimize, name)
+@pytest.mark.parametrize("index, first", [(0, 0.0), (1, 1.0)], ids=["t", "exp_t"])
+def test_scan_grids_are_read_only(index, first):
+    grid = optimize._scan_grid()[index]
     with pytest.raises(ValueError, match="read-only"):
         grid[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         grid *= 2.0
-    assert grid[0] == 1.0 if name == "_EXP_T_GRID" else grid[0] == 0.0
+    assert grid[0] == first
 
 
 def _bits(x):
@@ -295,3 +300,39 @@ def test_optima_and_report_snrs_are_floats(main_cavity):
     assert isinstance(report, ResonantReport) and type(report.snr) is float
     report = homodyne_report(dispersive, main_cavity, DRIVE)
     assert isinstance(report, HomodyneReport) and type(report.snr) is float
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=st.floats(min_value=0.0, max_value=1e3),
+    g_frac=st.floats(min_value=0.0, max_value=1.0),
+    kappa_t=st.floats(min_value=1e-2, max_value=1e3),
+    kappa_loss=st.floats(min_value=0.0, max_value=1e3),
+    detuning=st.floats(min_value=10.0, max_value=1e3),
+    j=st.floats(min_value=1e-3, max_value=1e9),
+)
+@example(12.0, 1.0, 0.59, 0.59, 200.0, 120.0)  # three roots at resonance
+def test_np_float64_inputs_give_the_float_results_bit_for_bit(
+    g, g_frac, kappa_t, kappa_loss, detuning, j
+):
+    # a pump grid of np.float64 (as np.logspace gives) and one of floats
+    # score the same: np.float64 is a float and takes the math path
+    cavity = CavityParams(g_max=g * MHZ, kappa_t=kappa_t * MHZ, kappa_loss=kappa_loss * MHZ)
+    resonant, dispersive = AtomParams(), AtomParams(delta_a=detuning * GAMMA)
+
+    def bits(values):
+        return [_bits(x) for x in values]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = []
+        for to in (float, np.float64):
+            drive = DriveParams(j_in=to(j * 1e6), tau=TAU)
+            g_local = to(g_frac * cavity.g_max)
+            results.append((
+                bits(stationary_photon_numbers(resonant, cavity, drive)),
+                bits(stationary_photon_numbers(dispersive, cavity, drive, g_local=g_local)),
+                bits(astuple(intensity_report(resonant, cavity, drive))),
+                bits(astuple(homodyne_report(dispersive, cavity, drive))),
+            ))
+    assert results[0] == results[1]
